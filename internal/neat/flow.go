@@ -99,19 +99,16 @@ type FlowCluster struct {
 
 	trajs             map[traj.ID]struct{}
 	frontEnd, backEnd roadnet.NodeID
+	// density is the members' summed t-fragment count, kept by every
+	// constructor so a detached flow (Members == nil) reports it too.
+	density int
 }
 
 // Cardinality returns the flow's trajectory cardinality |PTr(F)|.
 func (f *FlowCluster) Cardinality() int { return len(f.trajs) }
 
 // Density returns the total number of t-fragments across members.
-func (f *FlowCluster) Density() int {
-	n := 0
-	for _, m := range f.Members {
-		n += m.Density()
-	}
-	return n
-}
+func (f *FlowCluster) Density() int { return f.density }
 
 // Participates reports whether trajectory id participates in the flow.
 func (f *FlowCluster) Participates(id traj.ID) bool {
@@ -163,6 +160,7 @@ func newFlow(b *BaseCluster, g *roadnet.Graph) *FlowCluster {
 		trajs:    make(map[traj.ID]struct{}, len(b.trajs)),
 		frontEnd: seg.NI,
 		backEnd:  seg.NJ,
+		density:  b.Density(),
 	}
 	for id := range b.trajs {
 		f.trajs[id] = struct{}{}
@@ -180,6 +178,7 @@ func (f *FlowCluster) absorb(b *BaseCluster, atBack bool, newEnd roadnet.NodeID)
 		f.Route = append(roadnet.Route{b.Seg}, f.Route...)
 		f.frontEnd = newEnd
 	}
+	f.density += b.Density()
 	for id := range b.trajs {
 		f.trajs[id] = struct{}{}
 	}

@@ -1,0 +1,114 @@
+package neat
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/traj"
+)
+
+// This file is the two-tier read path a server answers (level, ε,
+// minCard) queries with. Neither per-read parameter touches Phases 1–2:
+// ε enters only Phase 3, and minCard only filters Phase 2's output —
+// formFlows marks every merged segment whatever the flow's cardinality,
+// so the greedy never depends on the threshold. The Phase 1–2 product
+// is therefore built once per fragment set (BuildFlowSet) and each read
+// filters it and runs Phase 3 alone (RunFlowSet). Rendered output is
+// byte-identical to a FromFragments plan of the same configuration.
+
+// FlowSet is the parameter-independent product of Phases 1–2 over one
+// fragment set. It holds no base cluster and no t-fragment: only counts
+// and detached flows, so keeping one per published dataset is cheap.
+type FlowSet struct {
+	// BaseClusters is the number of Phase 1 base clusters.
+	BaseClusters int
+	// Flows is every Phase 2 flow — the minCard 0 list — in seed
+	// order, each detached from its members (see FlowCluster.Detached).
+	Flows []*FlowCluster
+}
+
+// Detached returns a copy of f without its member base clusters: the
+// route, endpoints, participating trajectories and density survive, so
+// Phase 3 and every accessor except Members see the same flow. The
+// route and trajectory set are shared; both are immutable once built.
+func (f *FlowCluster) Detached() *FlowCluster {
+	return &FlowCluster{
+		Route:    f.Route,
+		trajs:    f.trajs,
+		frontEnd: f.frontEnd,
+		backEnd:  f.backEnd,
+		density:  f.density,
+	}
+}
+
+// filterFlows applies the minCard filter to a flow list: it returns the
+// flows whose cardinality is at least minCard, in order, and how many
+// were dropped. Over the minCard 0 list this equals FormFlowClusters
+// run with that threshold.
+func filterFlows(flows []*FlowCluster, minCard int) (kept []*FlowCluster, filtered int) {
+	for _, f := range flows {
+		if f.Cardinality() >= minCard {
+			kept = append(kept, f)
+		} else {
+			filtered++
+		}
+	}
+	return kept, filtered
+}
+
+// BuildFlowSet runs Phases 1–2 over frags with cfg's flow settings and
+// shard count, minCard forced to 0, and detaches the flows. It records
+// the fragments and the phase 1 and 2 latencies, but is not a run:
+// the reads answered from the set are (see RunFlowSet).
+func (p *Pipeline) BuildFlowSet(ctx context.Context, frags []traj.TFragment, cfg Config) (*FlowSet, error) {
+	cfg.Flow.MinCard = 0
+	plan, err := NewPlan(cfg, LevelFlow, FromFragments, Exec{})
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.execute(ctx, plan, Input{Fragments: frags})
+	if err != nil {
+		return nil, err
+	}
+	p.recordPhases12(res)
+	fs := &FlowSet{
+		BaseClusters: len(res.BaseClusters),
+		Flows:        make([]*FlowCluster, len(res.Flows)),
+	}
+	for i, f := range res.Flows {
+		fs.Flows[i] = f.Detached()
+	}
+	return fs, nil
+}
+
+// RunFlowSet answers one read from a flow set: past base level it
+// filters the flows by cfg.Flow.MinCard, and at opt level it runs
+// Phase 3 over the survivors through the FromFlows refine plan. The
+// result carries no base clusters (fs.BaseClusters counts them), no
+// fragment count and only the Phase 3 timing. It counts as one run.
+func (p *Pipeline) RunFlowSet(ctx context.Context, fs *FlowSet, cfg Config, level Level) (*Result, error) {
+	if level > LevelOpt {
+		return nil, fmt.Errorf("neat: unknown level %d", level)
+	}
+	res := &Result{Level: level}
+	if level >= LevelFlow {
+		if err := cfg.Flow.Validate(); err != nil {
+			return nil, err
+		}
+		res.Flows, res.FilteredFlows = filterFlows(fs.Flows, cfg.Flow.MinCard)
+	}
+	if level >= LevelOpt {
+		plan, err := NewPlan(cfg, LevelOpt, FromFlows, Exec{})
+		if err != nil {
+			return nil, err
+		}
+		ref, err := p.execute(ctx, plan, Input{Flows: res.Flows})
+		if err != nil {
+			return nil, err
+		}
+		res.Clusters, res.RefineStats, res.Trace = ref.Clusters, ref.RefineStats, ref.Trace
+		res.Timing.Phase3 = ref.Timing.Phase3
+	}
+	p.recordRun(res)
+	return res, nil
+}

@@ -54,6 +54,7 @@ func RestoreFlow(members []*BaseCluster, route roadnet.Route, front, back roadne
 		if m.Seg != route[i] {
 			return nil, fmt.Errorf("neat: restore flow: member %d on segment %d but route says %d", i, m.Seg, route[i])
 		}
+		f.density += m.Density()
 		for id := range m.trajs {
 			f.trajs[id] = struct{}{}
 		}
@@ -136,6 +137,7 @@ func (f *FlowCluster) Clone() *FlowCluster {
 		trajs:    f.trajs,
 		frontEnd: f.frontEnd,
 		backEnd:  f.backEnd,
+		density:  f.density,
 	}
 	for i, m := range f.Members {
 		out.Members[i] = m.Clone()

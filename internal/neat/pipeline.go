@@ -232,22 +232,25 @@ func (p *Pipeline) newRunSpan(name string, level Level) *obs.Span {
 	return root
 }
 
-// finish closes the run: ends the root span, attaches it to the
-// result, and records the run's metrics.
-func (p *Pipeline) finish(res *Result, root *obs.Span) {
-	root.End()
-	res.Trace = root
-	p.m.runs.Inc()
+// recordPhases12 charges the Phase 1–2 work of a result: the fragments
+// grouped and the phase 1 (and, past base level, phase 2) latencies.
+func (p *Pipeline) recordPhases12(res *Result) {
 	p.m.fragments.Add(int64(res.NumFragments))
+	p.m.phase[0].ObserveDuration(res.Timing.Phase1)
+	if res.Level >= LevelFlow {
+		p.m.phase[1].ObserveDuration(res.Timing.Phase2)
+	}
+}
+
+// recordRun counts one answered run: its output sizes, the Phase 3
+// shortest-path work, and (at opt level) the phase 3 latency.
+func (p *Pipeline) recordRun(res *Result) {
+	p.m.runs.Inc()
 	p.m.flows.Add(int64(len(res.Flows)))
 	p.m.clusters.Add(int64(len(res.Clusters)))
 	p.m.spQueries.Add(res.RefineStats.SPQueries)
 	p.m.settled.Add(res.RefineStats.SettledNodes)
 	p.m.elbPruned.Add(int64(res.RefineStats.ELBPruned))
-	p.m.phase[0].ObserveDuration(res.Timing.Phase1)
-	if res.Level >= LevelFlow {
-		p.m.phase[1].ObserveDuration(res.Timing.Phase2)
-	}
 	if res.Level >= LevelOpt {
 		p.m.phase[2].ObserveDuration(res.Timing.Phase3)
 	}

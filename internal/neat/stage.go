@@ -365,6 +365,20 @@ func (p *Pipeline) RunPlan(plan *Plan, in Input) (*Result, error) {
 // and the ctx error is returned — an identical re-run with a live
 // context produces output byte-identical to a never-cancelled run.
 func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Result, error) {
+	res, err := p.execute(ctx, plan, in)
+	if err != nil {
+		return nil, err
+	}
+	if plan.input != FromFlows {
+		p.recordPhases12(res)
+		p.recordRun(res)
+	}
+	return res, nil
+}
+
+// execute runs the plan's stages and closes its root span; it records
+// no metrics, so callers decide what the run is charged as.
+func (p *Pipeline) execute(ctx context.Context, plan *Plan, in Input) (*Result, error) {
 	res := &Result{Level: plan.level}
 	name := "neat.run"
 	if plan.input == FromFlows {
@@ -382,10 +396,6 @@ func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Resul
 			return nil, err
 		}
 	}
-	if plan.input == FromFlows {
-		res.Trace.End()
-		return res, nil
-	}
-	p.finish(res, res.Trace)
+	res.Trace.End()
 	return res, nil
 }

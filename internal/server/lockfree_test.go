@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/neat"
 	"repro/internal/traj"
 )
 
@@ -77,6 +78,98 @@ func TestReadsProceedDuringStalledIngest(t *testing.T) {
 	close(release)
 	if err := <-ingestDone; err != nil {
 		t.Fatalf("stalled ingest ultimately failed: %v", err)
+	}
+}
+
+// TestMemoWaitHonoursDeadline parks the Phase 1–2 computation of the
+// newest snapshot (its leader blocks inside the memo slot until
+// released) and checks the stale/503 contract for the reads queued
+// behind it: a waiter whose deadline expires first gets its last-good
+// response flagged stale, or a 503 when it has none, instead of
+// blocking. The parked computation then fails, which must not be
+// stored: the retried read is byte-identical to an uncontended one.
+func TestMemoWaitHonoursDeadline(t *testing.T) {
+	g, ds := testSetup(t)
+	s := New(g, Config{DataNodes: 2})
+	h := s.Handler()
+	ingest := func(h http.Handler, lo, hi int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/trajectories", marshalIngest(t, traj.Dataset{Trajectories: ds.Trajectories[lo:hi]}))
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	read := func(h http.Handler, ctx context.Context, path string) (int, ClusterResponse) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		var resp ClusterResponse
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			resp.ElapsedMs = 0
+		} else if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("GET %s: %d without Retry-After", path, rec.Code)
+		}
+		return rec.Code, resp
+	}
+	const warm, cold = "/v1/clusters?eps=1500&mincard=2", "/v1/clusters?eps=900&mincard=3"
+	ingest(h, 0, 30)
+	if code, _ := read(h, context.Background(), warm); code != http.StatusOK {
+		t.Fatalf("warm-up read: %d", code)
+	}
+	ingest(h, 30, len(ds.Trajectories))
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	parked := make(chan error, 1)
+	go func() {
+		_, err := s.Sessions().Default().Current().Flows(context.Background(), func(context.Context) (*neat.FlowSet, error) {
+			close(entered)
+			<-release
+			return nil, context.DeadlineExceeded
+		})
+		parked <- err
+	}()
+	<-entered // the newest snapshot's memo slot now holds a parked computation
+
+	for _, tc := range []struct {
+		path  string
+		code  int
+		stale bool
+	}{{warm, http.StatusOK, true}, {cold, http.StatusServiceUnavailable, false}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		code, resp := read(h, ctx, tc.path)
+		cancel()
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("GET %s blocked %v behind the parked memo", tc.path, d)
+		}
+		if code != tc.code || resp.Stale != tc.stale {
+			t.Fatalf("GET %s behind the parked memo: %d stale=%v, want %d stale=%v", tc.path, code, resp.Stale, tc.code, tc.stale)
+		}
+	}
+	close(release)
+	if err := <-parked; err == nil {
+		t.Fatal("parked computation reported success")
+	}
+
+	ref := New(g, Config{DataNodes: 2}).Handler()
+	ingest(ref, 0, 30)
+	ingest(ref, 30, len(ds.Trajectories))
+	for _, path := range []string{warm, cold} {
+		code, got := read(h, context.Background(), path)
+		_, want := read(ref, context.Background(), path)
+		if code != http.StatusOK || got.Stale {
+			t.Fatalf("retry of %s after release: %d stale=%v", path, code, got.Stale)
+		}
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(want)
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("retry of %s diverges from an uncontended read:\n got %s\nwant %s", path, gb, wb)
+		}
 	}
 }
 

@@ -69,6 +69,78 @@ func TestServerMetricsRecorded(t *testing.T) {
 	}
 }
 
+// TestMemoMetricsAccounting pins what the pipeline series mean under
+// the two-tier snapshot memo: every result-cache miss counts one
+// neat_runs_total and adds its flows and clusters, and an opt-level
+// miss observes phase 3 and adds its shortest-path work; phases 1 and 2
+// (and the fragment count) are observed once per snapshot, by the miss
+// that computed them. Result-cache hits record nothing.
+func TestMemoMetricsAccounting(t *testing.T) {
+	g, ds := testSetup(t)
+	reg := obs.NewRegistry()
+	srv := httptest.NewServer(New(g, Config{DataNodes: 2, Obs: reg}).Handler())
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
+	ctx := context.Background()
+	counter := func(name string) int64 { return reg.Counter(name).Value() }
+	phases := func() [3]int64 {
+		var out [3]int64
+		for i, n := range []string{"1", "2", "3"} {
+			out[i] = reg.Histogram("neat_phase_seconds", nil, obs.L("phase", n)).Count()
+		}
+		return out
+	}
+	var runs, flows, clusters, frags int64
+	read := func(q ClusterQuery, miss bool, wantPhases [3]int64) {
+		t.Helper()
+		sp := counter("neat_sp_queries_total")
+		resp, err := c.Clusters(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if miss {
+			runs++
+			flows += int64(len(resp.Flows))
+			clusters += int64(len(resp.Clusters))
+		}
+		for name, want := range map[string]int64{
+			"neat_runs_total":      runs,
+			"neat_flows_total":     flows,
+			"neat_clusters_total":  clusters,
+			"neat_fragments_total": frags,
+		} {
+			if got := counter(name); got != want {
+				t.Errorf("after %+v: %s = %d, want %d", q, name, got, want)
+			}
+		}
+		if got := phases(); got != wantPhases {
+			t.Errorf("after %+v: neat_phase_seconds counts %v, want %v", q, got, wantPhases)
+		}
+		if grew := counter("neat_sp_queries_total") > sp; grew != (miss && q.Level == "opt") {
+			t.Errorf("after %+v: neat_sp_queries_total grew=%v", q, grew)
+		}
+	}
+
+	ing, err := c.Ingest(ctx, traj.Dataset{Trajectories: ds.Trajectories[:30]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags = int64(ing.TotalFragments)
+	read(ClusterQuery{Level: "opt", Epsilon: 1500, MinCard: 2}, true, [3]int64{1, 1, 1})
+	read(ClusterQuery{Level: "opt", Epsilon: 2500, MinCard: 3}, true, [3]int64{1, 1, 2})
+	read(ClusterQuery{Level: "flow", Epsilon: 1500, MinCard: 4}, true, [3]int64{1, 1, 2})
+	read(ClusterQuery{Level: "base", Epsilon: 1500, MinCard: 0}, true, [3]int64{1, 1, 2})
+	read(ClusterQuery{Level: "opt", Epsilon: 1500, MinCard: 2}, false, [3]int64{1, 1, 2})
+
+	ing, err = c.Ingest(ctx, traj.Dataset{Trajectories: ds.Trajectories[30:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags += int64(ing.TotalFragments)
+	read(ClusterQuery{Level: "flow", Epsilon: 1500, MinCard: 2}, true, [3]int64{2, 2, 2})
+	read(ClusterQuery{Level: "opt", Epsilon: 1500, MinCard: 2}, true, [3]int64{2, 2, 3})
+}
+
 // TestConcurrentIngestQueryCacheConsistency drives ingest and cluster
 // queries concurrently (run under -race in CI) and then verifies the
 // cache never went stale: the post-quiescence response must equal a

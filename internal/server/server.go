@@ -535,11 +535,6 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 		writeError(w, http.StatusBadRequest, "config: %v", err)
 		return
 	}
-	plan, err := neat.NewPlan(cfg, level, neat.FromFragments, neat.Exec{})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "plan: %v", err)
-		return
-	}
 
 	// The published snapshot is the whole read state: no ingest lock,
 	// no copying — the fragment slice is immutable by construction and
@@ -565,8 +560,16 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 	}
 	sess.Metrics().CacheMisses.Inc()
 
+	// A miss does only the work its parameters need: Phases 1–2 are
+	// memoized on the snapshot (computed by the first miss after a
+	// publication), so the read itself is the minCard filter plus, at
+	// opt level, Phase 3.
 	start := time.Now()
-	res, err := sess.RunPlan(r.Context(), plan, neat.Input{Fragments: sn.Fragments})
+	fs, err := sess.Flows(r.Context(), sn, cfg)
+	var res *neat.Result
+	if err == nil {
+		res, err = sess.Refine(r.Context(), fs, cfg, level)
+	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || fault.IsInjected(err) {
 			if !fault.IsInjected(err) {
@@ -583,7 +586,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 	sess.Guard().OnSuccess()
 	resp := ClusterResponse{
 		Level:        res.Level.String(),
-		BaseClusters: len(res.BaseClusters),
+		BaseClusters: fs.BaseClusters,
 		ElapsedMs:    float64(time.Since(start).Microseconds()) / 1000,
 	}
 	for _, f := range res.Flows {

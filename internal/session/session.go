@@ -326,17 +326,44 @@ func (s *Session) Guard() *guard.Guard { return s.guard }
 // writes (reads are still served, flagged stale).
 func (s *Session) Quarantined() bool { return s.guard.Breaker().Quarantined() }
 
-// RunPlan executes plan over in on the session's single-flight
-// pipeline. Waiting for the pipeline observes ctx, so a request whose
-// deadline expires while queued degrades instead of blocking.
-func (s *Session) RunPlan(ctx context.Context, plan *neat.Plan, in neat.Input) (*neat.Result, error) {
+// Flows returns the Phase 1–2 product of snapshot sn under cfg (whose
+// minCard is ignored), computing it on the session's single-flight
+// pipeline at most once per snapshot (see Snapshot.Flows). Publication
+// of a new snapshot is the only invalidation.
+func (s *Session) Flows(ctx context.Context, sn *Snapshot, cfg neat.Config) (*neat.FlowSet, error) {
+	return sn.Flows(ctx, func(ctx context.Context) (*neat.FlowSet, error) {
+		var fs *neat.FlowSet
+		err := s.withPipeline(ctx, func(p *neat.Pipeline) (err error) {
+			fs, err = p.BuildFlowSet(ctx, sn.Fragments, cfg)
+			return err
+		})
+		return fs, err
+	})
+}
+
+// Refine answers one read from a flow set on the session's
+// single-flight pipeline: the minCard filter and, at opt level, Phase 3
+// (see neat.Pipeline.RunFlowSet).
+func (s *Session) Refine(ctx context.Context, fs *neat.FlowSet, cfg neat.Config, level neat.Level) (*neat.Result, error) {
+	var res *neat.Result
+	err := s.withPipeline(ctx, func(p *neat.Pipeline) (err error) {
+		res, err = p.RunFlowSet(ctx, fs, cfg, level)
+		return err
+	})
+	return res, err
+}
+
+// withPipeline runs fn holding the session's pipeline. Waiting for it
+// observes ctx, so a request whose deadline expires while queued
+// degrades instead of blocking.
+func (s *Session) withPipeline(ctx context.Context, fn func(*neat.Pipeline) error) error {
 	select {
 	case s.pipeSem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	defer func() { <-s.pipeSem }()
-	return s.pipeline.RunPlanCtx(ctx, plan, in)
+	return fn(s.pipeline)
 }
 
 // Ingest commits one batch: ids[i] names the trajectory convert(i)
