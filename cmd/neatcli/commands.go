@@ -170,7 +170,6 @@ func cmdCluster(args []string) error {
 	weights := fs.String("weights", "flow", "merge weights: flow, density, speed, balanced, monitoring")
 	beta := fs.Float64("beta", 0, "domination threshold (0 = +Inf)")
 	workers := fs.Int("workers", 0, "parallel workers for Phases 1 and 3 (0 = serial, -1 = all CPUs)")
-	shards := fs.Int("shards", 0, "road-network shards for Phases 1 and 2 (0 = unsharded; output is identical)")
 	cacheEntries := fs.Int("cache-entries", -1, "distance cache entry budget for Phase 3 (0 = default budget, <0 = no cache; output is identical)")
 	trace := fs.Bool("trace", false, "print the per-phase span breakdown after the run")
 	svg := fs.String("svg", "", "write clustering visualization to this SVG file")
@@ -200,7 +199,6 @@ func cmdCluster(args []string) error {
 	cfg := neat.Config{
 		Flow:   neat.FlowConfig{Weights: w, MinCard: *minCard, Beta: *beta},
 		Refine: neat.RefineConfig{Epsilon: *eps, UseELB: true, Bounded: true, Workers: *workers},
-		Shards: *shards,
 	}
 	var cache *distcache.Cache
 	if *cacheEntries >= 0 {
@@ -329,9 +327,6 @@ func parseWeights(s string) (neat.Weights, error) {
 
 func printResult(g *roadnet.Graph, res *neat.Result) {
 	fmt.Printf("%s results\n", res.Level)
-	if res.Shards > 0 {
-		fmt.Printf("  sharded over %d road-network regions\n", res.Shards)
-	}
 	fmt.Printf("  phase 1: %d t-fragments -> %d base clusters in %s\n",
 		res.NumFragments, len(res.BaseClusters), res.Timing.Phase1.Round(1e6))
 	if len(res.BaseClusters) > 0 {

@@ -9,11 +9,10 @@ import (
 
 // PhaseTiming is one row of the phase-times artifact: a full opt-NEAT
 // run under one execution shape, with the per-phase wall clock and the
-// result shape (which must be identical across rows — sharding and
-// parallelism are execution knobs, not result knobs).
+// result shape (which must be identical across rows — parallelism is
+// an execution knob, not a result knob).
 type PhaseTiming struct {
 	Config   string  `json:"config"`
-	Shards   int     `json:"shards"`
 	Workers  int     `json:"workers"`
 	Phase1Ms float64 `json:"phase1_ms"`
 	Phase2Ms float64 `json:"phase2_ms"`
@@ -37,17 +36,14 @@ type PhaseTimesReport struct {
 	Runs         []PhaseTiming `json:"runs"`
 }
 
-// phaseTimeShapes are the execution shapes PhaseTimes benchmarks:
-// the classic serial plan, sharded Phase 1/2, and sharded + all-core
-// workers.
+// phaseTimeShapes are the execution shapes PhaseTimes benchmarks: the
+// classic serial plan and RunParallel with all-core workers.
 var phaseTimeShapes = []struct {
 	name    string
-	shards  int
 	workers int
 }{
-	{"serial", 0, 0},
-	{"sharded", 4, 0},
-	{"sharded-parallel", 4, -1},
+	{"serial", 0},
+	{"parallel", -1},
 }
 
 // PhaseTimes runs the fixed scenario and collects the report. It
@@ -72,7 +68,6 @@ func PhaseTimes(e *Env) (*PhaseTimesReport, error) {
 	refFlows, refClusters := -1, -1
 	for _, shape := range phaseTimeShapes {
 		cfg := e.NEATConfig()
-		cfg.Shards = shape.shards
 		var res *neat.Result
 		if shape.workers != 0 {
 			res, err = p.RunParallel(ds, cfg, neat.LevelOpt, shape.workers)
@@ -91,7 +86,6 @@ func PhaseTimes(e *Env) (*PhaseTimesReport, error) {
 		}
 		rep.Runs = append(rep.Runs, PhaseTiming{
 			Config:   shape.name,
-			Shards:   shape.shards,
 			Workers:  shape.workers,
 			Phase1Ms: ms(res.Timing.Phase1),
 			Phase2Ms: ms(res.Timing.Phase2),

@@ -200,19 +200,8 @@ type flowBuilder struct {
 // cluster (the dense-core of the remainder), which makes the outcome
 // deterministic (§III-B1).
 func FormFlowClusters(g *roadnet.Graph, base []*BaseCluster, cfg FlowConfig) (flows []*FlowCluster, filtered int, err error) {
-	flows, _, filtered, err = formFlows(g, base, cfg)
-	return flows, filtered, err
-}
-
-// formFlows is the Phase 2 greedy over base in the given order. In
-// addition to the surviving flows and the minCard-filter count it
-// reports each flow's seed position: seeds[i] is the index into base
-// of the cluster that seeded flows[i]. The sharded executor uses the
-// seed positions to interleave per-shard flow lists back into the
-// global seed order (see shard.go).
-func formFlows(g *roadnet.Graph, base []*BaseCluster, cfg FlowConfig) (flows []*FlowCluster, seeds []int, filtered int, err error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	cfg = cfg.withDefaults()
 	fb := &flowBuilder{
@@ -223,11 +212,11 @@ func formFlows(g *roadnet.Graph, base []*BaseCluster, cfg FlowConfig) (flows []*
 	}
 	for _, b := range base {
 		if _, dup := fb.bySeg[b.Seg]; dup {
-			return nil, nil, 0, fmt.Errorf("neat: duplicate base cluster for segment %d", b.Seg)
+			return nil, 0, fmt.Errorf("neat: duplicate base cluster for segment %d", b.Seg)
 		}
 		fb.bySeg[b.Seg] = b
 	}
-	for si, seed := range base {
+	for _, seed := range base {
 		if fb.merged[seed.Seg] {
 			continue
 		}
@@ -239,12 +228,11 @@ func formFlows(g *roadnet.Graph, base []*BaseCluster, cfg FlowConfig) (flows []*
 		}
 		if f.Cardinality() >= cfg.MinCard {
 			flows = append(flows, f)
-			seeds = append(seeds, si)
 		} else {
 			filtered++
 		}
 	}
-	return flows, seeds, filtered, nil
+	return flows, filtered, nil
 }
 
 // expand attempts to grow the flow by one base cluster at the back or

@@ -10,11 +10,12 @@ import (
 // This file is the two-tier read path a server answers (level, ε,
 // minCard) queries with. Neither per-read parameter touches Phases 1–2:
 // ε enters only Phase 3, and minCard only filters Phase 2's output —
-// formFlows marks every merged segment whatever the flow's cardinality,
-// so the greedy never depends on the threshold. The Phase 1–2 product
-// is therefore built once per fragment set (BuildFlowSet) and each read
-// filters it and runs Phase 3 alone (RunFlowSet). Rendered output is
-// byte-identical to a FromFragments plan of the same configuration.
+// FormFlowClusters marks every merged segment whatever the flow's
+// cardinality, so the greedy never depends on the threshold. The Phase
+// 1–2 product is therefore built once per fragment set (BuildFlowSet)
+// and each read filters it and runs Phase 3 alone (RunFlowSet).
+// Rendered output is byte-identical to a FromFragments plan of the same
+// configuration.
 
 // FlowSet is the parameter-independent product of Phases 1–2 over one
 // fragment set. It holds no base cluster and no t-fragment: only counts
@@ -56,10 +57,10 @@ func filterFlows(flows []*FlowCluster, minCard int) (kept []*FlowCluster, filter
 	return kept, filtered
 }
 
-// BuildFlowSet runs Phases 1–2 over frags with cfg's flow settings and
-// shard count, minCard forced to 0, and detaches the flows. It records
-// the fragments and the phase 1 and 2 latencies, but is not a run:
-// the reads answered from the set are (see RunFlowSet).
+// BuildFlowSet runs Phases 1–2 over frags with cfg's flow settings,
+// minCard forced to 0, and detaches the flows. It records the
+// fragments and the phase 1 and 2 latencies, but is not a run: the
+// reads answered from the set are (see RunFlowSet).
 func (p *Pipeline) BuildFlowSet(ctx context.Context, frags []traj.TFragment, cfg Config) (*FlowSet, error) {
 	cfg.Flow.MinCard = 0
 	plan, err := NewPlan(cfg, LevelFlow, FromFragments, Exec{})

@@ -38,8 +38,7 @@ func sameFlows(got, want []*FlowCluster) error {
 
 // TestPropertyMinCardIsPostFilter pins the fact the snapshot memo rests
 // on: minCard never changes Phase 2's greedy, so filtering the minCard 0
-// flow list by k equals forming flows with minCard k — serially and on
-// the sharded executor.
+// flow list by k equals forming flows with minCard k.
 func TestPropertyMinCardIsPostFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	weights := []Weights{WeightsFlowOnly, WeightsDensityOnly, WeightsBalanced}
@@ -63,34 +62,10 @@ func TestPropertyMinCardIsPostFilter(t *testing.T) {
 			}
 			got, filtered := filterFlows(all, k)
 			if err := sameFlows(got, want); err != nil {
-				t.Fatalf("trial %d minCard %d: serial: %v", trial, k, err)
+				t.Fatalf("trial %d minCard %d: %v", trial, k, err)
 			}
 			if filtered != wantFiltered {
 				t.Fatalf("trial %d minCard %d: filtered %d, want %d", trial, k, filtered, wantFiltered)
-			}
-			for _, shards := range []int{2, 4} {
-				gp, err := roadnet.PartitionGraph(g, shards, shardSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sharded0, _, _, err := formFlowClustersSharded(g, gp, base, cfg, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shardedK, shardedFiltered, _, err := formFlowClustersSharded(g, gp, base, kcfg, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, filtered := filterFlows(sharded0, k)
-				if err := sameFlows(got, shardedK); err != nil {
-					t.Fatalf("trial %d minCard %d shards %d: %v", trial, k, shards, err)
-				}
-				if err := sameFlows(got, want); err != nil {
-					t.Fatalf("trial %d minCard %d shards %d vs serial: %v", trial, k, shards, err)
-				}
-				if filtered != shardedFiltered {
-					t.Fatalf("trial %d minCard %d shards %d: filtered %d, want %d", trial, k, shards, filtered, shardedFiltered)
-				}
 			}
 		}
 	}
@@ -163,8 +138,8 @@ func TestPropertyDetachedFlows(t *testing.T) {
 }
 
 // TestFlowSetMatchesFragmentPlan pins the two-tier read against the
-// one-shot plan: for every level, minCard and shard count, one flow set
-// answers exactly what a FromFragments run of the same config does.
+// one-shot plan: for every level and minCard, one flow set answers
+// exactly what a FromFragments run of the same config does.
 func TestFlowSetMatchesFragmentPlan(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 8; seed++ {
@@ -174,35 +149,33 @@ func TestFlowSetMatchesFragmentPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{0, 2} {
-			cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}, Refine: RefineConfig{Epsilon: 900, UseELB: true, Bounded: true}, Shards: shards}
-			fs, err := p.BuildFlowSet(ctx, frags, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, level := range []Level{LevelBase, LevelFlow, LevelOpt} {
-				for _, k := range []int{0, 2, 5} {
-					cfg.Flow.MinCard = k
-					want, err := p.RunFragments(frags, cfg, level)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := p.RunFlowSet(ctx, fs, cfg, level)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fs.BaseClusters != len(want.BaseClusters) {
-						t.Fatalf("seed %d: %d base clusters, want %d", seed, fs.BaseClusters, len(want.BaseClusters))
-					}
-					if level >= LevelFlow && got.FilteredFlows != want.FilteredFlows {
-						t.Fatalf("seed %d %s minCard %d: filtered %d, want %d", seed, level, k, got.FilteredFlows, want.FilteredFlows)
-					}
-					if a, b := renderRefined(g, []*TrajectoryCluster{{Flows: got.Flows}}), renderRefined(g, []*TrajectoryCluster{{Flows: want.Flows}}); a != b {
-						t.Fatalf("seed %d %s minCard %d: flows diverge", seed, level, k)
-					}
-					if a, b := renderRefined(g, got.Clusters), renderRefined(g, want.Clusters); a != b {
-						t.Fatalf("seed %d %s minCard %d: clusters diverge:\n%s\nwant:\n%s", seed, level, k, a, b)
-					}
+		cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}, Refine: RefineConfig{Epsilon: 900, UseELB: true, Bounded: true}}
+		fs, err := p.BuildFlowSet(ctx, frags, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []Level{LevelBase, LevelFlow, LevelOpt} {
+			for _, k := range []int{0, 2, 5} {
+				cfg.Flow.MinCard = k
+				want, err := p.RunFragments(frags, cfg, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.RunFlowSet(ctx, fs, cfg, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fs.BaseClusters != len(want.BaseClusters) {
+					t.Fatalf("seed %d: %d base clusters, want %d", seed, fs.BaseClusters, len(want.BaseClusters))
+				}
+				if level >= LevelFlow && got.FilteredFlows != want.FilteredFlows {
+					t.Fatalf("seed %d %s minCard %d: filtered %d, want %d", seed, level, k, got.FilteredFlows, want.FilteredFlows)
+				}
+				if a, b := renderRefined(g, []*TrajectoryCluster{{Flows: got.Flows}}), renderRefined(g, []*TrajectoryCluster{{Flows: want.Flows}}); a != b {
+					t.Fatalf("seed %d %s minCard %d: flows diverge", seed, level, k)
+				}
+				if a, b := renderRefined(g, got.Clusters), renderRefined(g, want.Clusters); a != b {
+					t.Fatalf("seed %d %s minCard %d: clusters diverge:\n%s\nwant:\n%s", seed, level, k, a, b)
 				}
 			}
 		}

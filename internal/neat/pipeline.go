@@ -45,30 +45,17 @@ func (l Level) String() string {
 type Config struct {
 	Flow   FlowConfig
 	Refine RefineConfig
-	// Shards > 1 partitions the road network into that many regions
-	// (clamped to the segment count) and executes Phases 1 and 2 per
-	// region, reconciling flows that cross region boundaries before the
-	// global Phase 3. Sharding changes only the execution shape: output
-	// is byte-identical to the unsharded run. 0 or 1 disables.
-	Shards int
 }
 
-// Validate checks the full configuration — both phase configs plus the
-// sharding knob — in one place. Entry points that run a subset of the
-// phases (NewPlan) validate only the stages they compose; boundary
-// layers (stream, server, the CLI) validate everything up front with
-// this.
+// Validate checks the full configuration — both phase configs — in one
+// place. Entry points that run a subset of the phases (NewPlan)
+// validate only the stages they compose; boundary layers (stream,
+// server, the CLI) validate everything up front with this.
 func (c Config) Validate() error {
 	if err := c.Flow.Validate(); err != nil {
 		return err
 	}
-	if err := c.Refine.Validate(); err != nil {
-		return err
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("neat: shards must be non-negative, got %d", c.Shards)
-	}
-	return nil
+	return c.Refine.Validate()
 }
 
 // DefaultConfig returns the configuration used for the paper's main
@@ -103,10 +90,6 @@ func (t Timing) Total() time.Duration { return t.Phase1 + t.Phase2 + t.Phase3 }
 // are empty (e.g. Clusters is nil for a flow-NEAT run).
 type Result struct {
 	Level Level
-	// Shards is the effective shard count the run executed with
-	// (requested Config.Shards clamped to the segment count); 0 for
-	// unsharded runs.
-	Shards int
 	// NumFragments is the number of t-fragments extracted in Phase 1.
 	NumFragments int
 	// BaseClusters is Phase 1's output, sorted by descending density;
@@ -140,10 +123,6 @@ type Pipeline struct {
 
 	trace bool
 	m     pipelineMetrics
-	// parts caches graph partitions by requested shard count: the
-	// partition is a pure function of (graph, count, seed), so sharded
-	// plans reuse it across runs.
-	parts map[int]*roadnet.GraphPartition
 }
 
 // NewPipeline creates a Pipeline over g.
@@ -152,28 +131,6 @@ func NewPipeline(g *roadnet.Graph) *Pipeline {
 		g:    g,
 		part: traj.NewPartitioner(g, shortest.New(g, nil)),
 	}
-}
-
-// shardSeed fixes the partition growth seed: the shard layout is an
-// execution detail, so one canonical layout per (graph, count) keeps
-// runs reproducible and the cache effective.
-const shardSeed = 1
-
-// graphPartition returns the cached partition of the pipeline's graph
-// into k regions, building it on first use.
-func (p *Pipeline) graphPartition(k int) (*roadnet.GraphPartition, error) {
-	if gp, ok := p.parts[k]; ok {
-		return gp, nil
-	}
-	gp, err := roadnet.PartitionGraph(p.g, k, shardSeed)
-	if err != nil {
-		return nil, err
-	}
-	if p.parts == nil {
-		p.parts = make(map[int]*roadnet.GraphPartition)
-	}
-	p.parts[k] = gp
-	return gp, nil
 }
 
 // Graph returns the pipeline's road network.

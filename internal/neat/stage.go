@@ -25,9 +25,8 @@ import (
 //
 // Each stage owns its obs span and work annotations, charges its phase
 // timer, and carries a deterministic contract: for fixed inputs the
-// outputs are byte-identical regardless of worker count or shard
-// count (the differential selftest suite pins this against the naive
-// oracle).
+// outputs are byte-identical regardless of worker count (the
+// differential selftest suite pins this against the naive oracle).
 
 // PlanInput selects the material a plan starts from.
 type PlanInput uint8
@@ -101,14 +100,10 @@ type Stage interface {
 // PartitionStage is Phase 1, step 1: split every trajectory into its
 // t-fragment sequence, repairing sampling gaps with shortest-path
 // routes. Contract: the fragment list equals the serial
-// Partitioner.PartitionDataset output for any Workers/Shards value.
+// Partitioner.PartitionDataset output for any Workers value.
 type PartitionStage struct {
-	// Workers shards the trajectory loop; 0 = serial.
+	// Workers parallelizes the trajectory loop; 0 = serial.
 	Workers int
-	// Shards > 1 routes each trajectory to the graph shard owning its
-	// first sample's segment and partitions shard-by-shard, each shard
-	// worker holding its own cloned gap-repair engine.
-	Shards int
 }
 
 // Name implements Stage.
@@ -120,20 +115,10 @@ func (s PartitionStage) run(p *Pipeline, st *state) error {
 	start := time.Now()
 	var frags []traj.TFragment
 	var err error
-	switch {
-	case s.Shards > 1:
-		gp, perr := p.graphPartition(s.Shards)
-		if perr != nil {
-			return perr
-		}
-		sp.Annotate("shards", gp.K())
-		sp.Annotate("workers", s.Workers)
-		st.res.Shards = gp.K()
-		frags, err = partitionDatasetSharded(p.g, st.in.Dataset, gp, s.Workers)
-	case s.Workers != 0:
+	if s.Workers != 0 {
 		sp.Annotate("workers", s.Workers)
 		frags, err = traj.PartitionDatasetParallel(p.g, st.in.Dataset, s.Workers)
-	default:
+	} else {
 		frags, err = p.part.PartitionDataset(st.in.Dataset)
 	}
 	if err != nil {
@@ -147,17 +132,8 @@ func (s PartitionStage) run(p *Pipeline, st *state) error {
 }
 
 // BaseClusterStage is Phase 1, step 2: group t-fragments by road
-// segment into density-ordered base clusters. Contract: grouping is
-// per segment and the order key (density desc, segment id asc) is
-// total, so the sharded path — per-shard grouping then a global
-// re-sort — is byte-identical to the global FormBaseClusters.
-type BaseClusterStage struct {
-	// Shards > 1 buckets fragments by segment shard and forms each
-	// shard's clusters on its own worker.
-	Shards int
-	// Workers bounds the shard-task pool; 0 = one task at a time.
-	Workers int
-}
+// segment into base clusters ordered by density desc, segment id asc.
+type BaseClusterStage struct{}
 
 // Name implements Stage.
 func (s BaseClusterStage) Name() string { return "base_clusters" }
@@ -169,17 +145,7 @@ func (s BaseClusterStage) run(p *Pipeline, st *state) error {
 	st.res.NumFragments = len(st.frags)
 	sp := st.res.Trace.StartChild("phase1.base_clusters")
 	start := time.Now()
-	if s.Shards > 1 {
-		gp, err := p.graphPartition(s.Shards)
-		if err != nil {
-			return err
-		}
-		sp.Annotate("shards", gp.K())
-		st.res.Shards = gp.K()
-		st.res.BaseClusters = formBaseClustersSharded(st.frags, gp, s.Workers)
-	} else {
-		st.res.BaseClusters = FormBaseClusters(st.frags)
-	}
+	st.res.BaseClusters = FormBaseClusters(st.frags)
 	st.res.Timing.Phase1 += time.Since(start)
 	sp.Annotate("fragments", len(st.frags))
 	sp.Annotate("base_clusters", len(st.res.BaseClusters))
@@ -188,20 +154,9 @@ func (s BaseClusterStage) run(p *Pipeline, st *state) error {
 }
 
 // FlowMergeStage is Phase 2: merge base clusters into flow clusters by
-// the greedy dense-core expansion of §III-B. Contract: the sharded
-// path decomposes the greedy along the connected components of the
-// netflow-adjacency graph (clusters as nodes, edges between
-// junction-adjacent clusters sharing a trajectory); components are
-// provably independent under the global greedy, so per-shard execution
-// plus the boundary reconcile reproduces the unsharded flow list byte
-// for byte (DESIGN.md §9).
+// the greedy dense-core expansion of §III-B.
 type FlowMergeStage struct {
 	Cfg FlowConfig
-	// Shards > 1 runs intra-shard components on per-shard workers and
-	// reconciles boundary-crossing components serially.
-	Shards int
-	// Workers bounds the shard-task pool; 0 = one task at a time.
-	Workers int
 }
 
 // Name implements Stage.
@@ -210,24 +165,7 @@ func (s FlowMergeStage) Name() string { return "flow_merge" }
 func (s FlowMergeStage) run(p *Pipeline, st *state) error {
 	sp := st.res.Trace.StartChild("phase2.flow_clusters")
 	start := time.Now()
-	var flows []*FlowCluster
-	var filtered int
-	var err error
-	if s.Shards > 1 {
-		gp, gerr := p.graphPartition(s.Shards)
-		if gerr != nil {
-			return gerr
-		}
-		st.res.Shards = gp.K()
-		var ss shardMergeStats
-		flows, filtered, ss, err = formFlowClustersSharded(p.g, gp, st.res.BaseClusters, s.Cfg, s.Workers)
-		sp.Annotate("shards", gp.K())
-		sp.Annotate("boundary_junctions", len(gp.Boundary()))
-		sp.Annotate("components", ss.components)
-		sp.Annotate("cross_shard_components", ss.crossComponents)
-	} else {
-		flows, filtered, err = FormFlowClusters(p.g, st.res.BaseClusters, s.Cfg)
-	}
+	flows, filtered, err := FormFlowClusters(p.g, st.res.BaseClusters, s.Cfg)
 	if err != nil {
 		return fmt.Errorf("neat: phase 2 flow formation: %w", err)
 	}
@@ -295,9 +233,6 @@ func NewPlan(cfg Config, level Level, in PlanInput, ex Exec) (*Plan, error) {
 	if level > LevelOpt {
 		return nil, fmt.Errorf("neat: unknown level %d", level)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("neat: shards must be non-negative, got %d", cfg.Shards)
-	}
 	pl := &Plan{level: level, input: in}
 	if in == FromFlows {
 		if level < LevelOpt {
@@ -310,14 +245,14 @@ func NewPlan(cfg Config, level Level, in PlanInput, ex Exec) (*Plan, error) {
 		return pl, nil
 	}
 	if in == FromDataset {
-		pl.stages = append(pl.stages, PartitionStage{Workers: ex.Workers, Shards: cfg.Shards})
+		pl.stages = append(pl.stages, PartitionStage{Workers: ex.Workers})
 	}
-	pl.stages = append(pl.stages, BaseClusterStage{Shards: cfg.Shards, Workers: ex.Workers})
+	pl.stages = append(pl.stages, BaseClusterStage{})
 	if level >= LevelFlow {
 		if err := cfg.Flow.Validate(); err != nil {
 			return nil, err
 		}
-		pl.stages = append(pl.stages, FlowMergeStage{Cfg: cfg.Flow, Shards: cfg.Shards, Workers: ex.Workers})
+		pl.stages = append(pl.stages, FlowMergeStage{Cfg: cfg.Flow})
 	}
 	if level >= LevelOpt {
 		if err := cfg.Refine.Validate(); err != nil {

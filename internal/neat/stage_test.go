@@ -70,11 +70,6 @@ func TestPlanValidationScoping(t *testing.T) {
 	if _, err := NewPlan(DefaultConfig(), LevelFlow, FromFlows, Exec{}); err == nil {
 		t.Error("merge plan accepted level flow-NEAT")
 	}
-	bad := DefaultConfig()
-	bad.Shards = -1
-	if _, err := NewPlan(bad, LevelFlow, FromDataset, Exec{}); err == nil {
-		t.Error("negative shard count accepted")
-	}
 	if _, err := NewPlan(DefaultConfig(), Level(9), FromDataset, Exec{}); err == nil {
 		t.Error("unknown level accepted")
 	}
@@ -98,16 +93,6 @@ func TestConfigValidate(t *testing.T) {
 	bad.Flow.MinCard = -2
 	if bad.Validate() == nil {
 		t.Error("negative minCard accepted")
-	}
-	bad = DefaultConfig()
-	bad.Shards = -4
-	if bad.Validate() == nil {
-		t.Error("negative shards accepted")
-	}
-	ok := DefaultConfig()
-	ok.Shards = 8
-	if err := ok.Validate(); err != nil {
-		t.Errorf("shards=8 rejected: %v", err)
 	}
 }
 
@@ -151,10 +136,10 @@ func genInstance(t *testing.T, seed int64) (*roadnet.Graph, traj.Dataset) {
 	return g, ds
 }
 
-// TestShardedMatchesUnsharded is the in-package determinism pin for
-// the sharded engine: for every level, shard count, and worker count,
-// the run renders byte-identically to the classic unsharded path.
-func TestShardedMatchesUnsharded(t *testing.T) {
+// TestRunParallelMatchesRunBytes is the in-package determinism pin for
+// parallel execution: for every level, a RunParallel run renders byte
+// for byte like the serial Run.
+func TestRunParallelMatchesRunBytes(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		g, ds := genInstance(t, seed)
 		cfg := Config{
@@ -165,56 +150,16 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		for _, level := range []Level{LevelBase, LevelFlow, LevelOpt} {
 			ref, err := p.Run(ds, cfg, level)
 			if err != nil {
-				t.Fatalf("seed %d %s: unsharded: %v", seed, level, err)
+				t.Fatalf("seed %d %s: serial: %v", seed, level, err)
 			}
-			want := renderResult(ref)
-			for _, shards := range []int{2, 3, 4} {
-				for _, workers := range []int{0, 3} {
-					scfg := cfg
-					scfg.Shards = shards
-					var res *Result
-					if workers != 0 {
-						res, err = p.RunParallel(ds, scfg, level, workers)
-					} else {
-						res, err = p.Run(ds, scfg, level)
-					}
-					if err != nil {
-						t.Fatalf("seed %d %s shards=%d w=%d: %v", seed, level, shards, workers, err)
-					}
-					if got := renderResult(res); got != want {
-						t.Fatalf("seed %d %s shards=%d w=%d: output diverges from unsharded run",
-							seed, level, shards, workers)
-					}
-					if res.Shards < 1 {
-						t.Fatalf("seed %d: sharded run reports Shards=%d", seed, res.Shards)
-					}
-				}
+			res, err := p.RunParallel(ds, cfg, level, 3)
+			if err != nil {
+				t.Fatalf("seed %d %s: parallel: %v", seed, level, err)
+			}
+			if renderResult(res) != renderResult(ref) {
+				t.Fatalf("seed %d %s: parallel output diverges from the serial run", seed, level)
 			}
 		}
-	}
-}
-
-// TestRunFragmentsSharded covers the fragment-input plan under
-// sharding (the server's path).
-func TestRunFragmentsSharded(t *testing.T) {
-	g, ds := genInstance(t, 3)
-	p := NewPipeline(g)
-	frags, err := p.Partition(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}, Refine: RefineConfig{Epsilon: 900}}
-	ref, err := p.RunFragments(frags, cfg, LevelOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards = 3
-	res, err := p.RunFragments(frags, cfg, LevelOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderResult(res) != renderResult(ref) {
-		t.Fatal("sharded fragment run diverges from unsharded")
 	}
 }
 
@@ -246,39 +191,6 @@ func TestMergePlanMetricsSilent(t *testing.T) {
 	}
 	if got := reg.Counter("neat_runs_total").Value(); got != 1 {
 		t.Fatalf("neat_runs_total = %d after merges; merge plans must not count as runs", got)
-	}
-}
-
-// TestShardedTraceAnnotations checks the sharded stages annotate their
-// spans without renaming them.
-func TestShardedTraceAnnotations(t *testing.T) {
-	g, ds := genInstance(t, 9)
-	p := NewPipeline(g)
-	p.EnableTracing(true)
-	cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}, Refine: RefineConfig{Epsilon: 900}, Shards: 2}
-	res, err := p.Run(ds, cfg, LevelOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace.Name() != "neat.run" {
-		t.Fatalf("root span %q", res.Trace.Name())
-	}
-	for _, name := range []string{"phase1.partition", "phase1.base_clusters", "phase2.flow_clusters", "phase3.refine"} {
-		sp := res.Trace.Find(name)
-		if sp == nil {
-			t.Fatalf("span %s missing from sharded trace", name)
-		}
-		if name != "phase3.refine" {
-			if _, ok := sp.LabelMap()["shards"]; !ok {
-				t.Errorf("span %s lacks shards annotation", name)
-			}
-		}
-	}
-	p2 := res.Trace.Find("phase2.flow_clusters").LabelMap()
-	for _, key := range []string{"boundary_junctions", "components", "cross_shard_components"} {
-		if _, ok := p2[key]; !ok {
-			t.Errorf("phase2 span lacks %s annotation", key)
-		}
 	}
 }
 

@@ -196,49 +196,38 @@ func Diff(a, b string) string {
 	return "renderings differ in length only"
 }
 
-// shardCounts are the shard settings every instance is checked under.
-// 1 exercises the classic unsharded plan; 2 and 4 exercise per-region
-// Phase 1/2 execution with the cross-shard reconcile. All three must
-// render byte-identically to the oracle.
-var shardCounts = []int{1, 2, 4}
-
-// checkInstance runs the oracle once and the optimized pipeline under
-// every shard count, each both without and with a shared Phase 3
-// distance cache, comparing each canonical rendering. Two determinism
-// contracts are pinned here: the sharded executor's (byte-identical
-// output regardless of shard and worker count) and the distance
-// cache's (byte-identical output with and without a persistent cache).
-// One cache instance is deliberately reused across all cached runs of
-// the instance, so later runs hit entries written by earlier ones —
-// the cross-run reuse the streaming clusterer and the server rely on.
+// checkInstance runs the oracle once and the optimized pipeline three
+// times — without a Phase 3 distance cache, with a cold one, and again
+// with the same now-warm one — comparing each canonical rendering.
+// This pins the distance cache's determinism contract: output is
+// byte-identical with and without a persistent cache, including when
+// a run hits entries written by an earlier run — the cross-run reuse
+// the streaming clusterer and the server rely on.
 func checkInstance(g *roadnet.Graph, ds traj.Dataset, d proptest.Draw) error {
 	ncfg, ocfg, nl, ol := Materialize(d)
 	ores, oerr := oracle.RunNEAT(g, ds, ocfg, ol)
 	p := neat.NewPipeline(g)
 	cache := distcache.New(0)
-	for _, shards := range shardCounts {
-		for _, cached := range []bool{false, true} {
-			cfg := ncfg
-			cfg.Shards = shards
-			if cached {
-				cfg.Refine.Cache = cache
-			}
-			var nres *neat.Result
-			var nerr error
-			if d.ParallelPhase1 {
-				nres, nerr = p.RunParallel(ds, cfg, nl, 4)
-			} else {
-				nres, nerr = p.Run(ds, cfg, nl)
-			}
-			if (nerr != nil) != (oerr != nil) {
-				return fmt.Errorf("shards=%d cache=%t: error mismatch: neat=%v oracle=%v", shards, cached, nerr, oerr)
-			}
-			if nerr != nil {
-				continue // both rejected the instance identically
-			}
-			if diff := Diff(CanonicalNEAT(nres), CanonicalOracle(ores)); diff != "" {
-				return fmt.Errorf("shards=%d cache=%t: outputs diverge: %s", shards, cached, diff)
-			}
+	for _, mode := range []string{"off", "cold", "warm"} {
+		cfg := ncfg
+		if mode != "off" {
+			cfg.Refine.Cache = cache
+		}
+		var nres *neat.Result
+		var nerr error
+		if d.ParallelPhase1 {
+			nres, nerr = p.RunParallel(ds, cfg, nl, 4)
+		} else {
+			nres, nerr = p.Run(ds, cfg, nl)
+		}
+		if (nerr != nil) != (oerr != nil) {
+			return fmt.Errorf("cache=%s: error mismatch: neat=%v oracle=%v", mode, nerr, oerr)
+		}
+		if nerr != nil {
+			continue // both rejected the instance identically
+		}
+		if diff := Diff(CanonicalNEAT(nres), CanonicalOracle(ores)); diff != "" {
+			return fmt.Errorf("cache=%s: outputs diverge: %s", mode, diff)
 		}
 	}
 	return nil

@@ -153,6 +153,45 @@ func TestSessionLimitsAPI(t *testing.T) {
 	}
 }
 
+// TestSessionLimitsDefaultCeiling pins the per-session concurrency
+// ceiling GET /v1/sessions/limits reports: the server's MaxInflight
+// (16 by default, -1 when admission control is off) unless the guard
+// template sets MaxConcurrency, for the default session and for a
+// session created over the API alike.
+func TestSessionLimitsDefaultCeiling(t *testing.T) {
+	g, _ := testSetup(t)
+	cases := []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"default", Config{}, 16},
+		{"unbounded", Config{MaxInflight: -1}, -1},
+		{"max-inflight", Config{MaxInflight: 5}, 5},
+		{"guard-override", Config{MaxInflight: 5, Guard: guard.Config{Limits: guard.Limits{MaxConcurrency: 3}}}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(New(g, tc.cfg).Handler())
+			defer srv.Close()
+			c := NewClient(srv.URL, srv.Client())
+			ctx := context.Background()
+			if _, err := c.CreateSession(ctx, CreateSessionRequest{Name: "tenant", Region: "SJ", Scale: 0.02}); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"default", "tenant"} {
+				lim, err := c.SessionLimits(ctx, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lim.MaxConcurrency != tc.want {
+					t.Errorf("session %s: max_concurrency %d, want %d", name, lim.MaxConcurrency, tc.want)
+				}
+			}
+		})
+	}
+}
+
 // TestQuarantineLifecycleHTTP drives the breaker end to end over HTTP:
 // consecutive injected ingest failures trip the session open; reads
 // then serve the last-good clustering flagged stale while writes shed

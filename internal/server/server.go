@@ -38,12 +38,6 @@ type Config struct {
 	// negative uses all CPUs. The clustering output is identical either
 	// way, so it does not key the result cache.
 	Workers int
-	// Shards is the road-network shard count passed through to
-	// neat.Config.Shards: clustering requests then execute Phases 1-2
-	// per graph region. Like Workers it changes only the execution
-	// shape — output is byte-identical — so it does not key the result
-	// cache. 0 or 1 disables.
-	Shards int
 	// CacheEntries sizes the junction-pair distance cache budget shared
 	// by every session (internal/distcache): each session keeps its own
 	// cache instance — scoped to its graph by fingerprint — but all of
@@ -66,18 +60,14 @@ type Config struct {
 	// A waiter whose deadline expires before a slot frees is shed with
 	// 503. Zero selects 16; negative disables admission control
 	// entirely.
+	//
+	// The same value also bounds each session's own concurrency
+	// underneath the global cap, unless Guard.Limits.MaxConcurrency
+	// sets another: it seeds the session's adaptive (AIMD) admission
+	// window, which halves on deadline misses and sheds, so a hot
+	// tenant shrinks its own footprint instead of monopolizing the
+	// global queue (see internal/guard).
 	MaxInflight int
-	// SessionMaxInflight bounds concurrently served requests per
-	// session, underneath the global cap, so one tenant cannot occupy
-	// every slot. Zero selects MaxInflight (which never binds with a
-	// single session — the global cap saturates first, keeping the
-	// default session's behavior identical to the pre-session server);
-	// negative disables the per-session bound. The value seeds each
-	// session's adaptive (AIMD) admission window: the window starts
-	// here and halves on deadline misses and sheds, so a hot tenant
-	// shrinks its own footprint instead of monopolizing the global
-	// queue (see internal/guard).
-	SessionMaxInflight int
 	// Guard is the per-session isolation template applied to every
 	// session (the default session included): token-bucket ingest rate
 	// limits, circuit-breaker trip policy, and the ingest watchdog.
@@ -123,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 16
-	}
-	if c.SessionMaxInflight == 0 {
-		c.SessionMaxInflight = c.MaxInflight
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 16
@@ -193,8 +180,7 @@ func Open(g *roadnet.Graph, cfg Config) (*Server, error) {
 			DataNodes:   cfg.DataNodes,
 			MaxBatch:    cfg.MaxBatch,
 			Workers:     cfg.Workers,
-			Shards:      cfg.Shards,
-			MaxInflight: cfg.SessionMaxInflight,
+			MaxInflight: cfg.MaxInflight,
 			Guard:       cfg.Guard,
 			Obs:         cfg.Obs,
 			Fault:       cfg.Fault,
@@ -513,7 +499,6 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 	cfg := neat.Config{
 		Flow:   neat.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: 5},
 		Refine: neat.RefineConfig{Epsilon: 6500, UseELB: true, Bounded: true, Workers: sess.Workers(), Cache: sess.Cache(), Fault: sess.Injector()},
-		Shards: sess.Shards(),
 	}
 	if v := q.Get("eps"); v != "" {
 		eps, err := strconv.ParseFloat(v, 64)
@@ -691,7 +676,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, sess *sessi
 		TotalFragments: len(sn.Fragments),
 		DataNodes:      s.cfg.DataNodes,
 		RefineWorkers:  s.cfg.Workers,
-		Shards:         s.cfg.Shards,
 		DistCache:      dc,
 		Robustness:     rb,
 		Guard:          &gd,

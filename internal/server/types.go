@@ -87,9 +87,6 @@ type StatsResponse struct {
 	// RefineWorkers echoes the server's Phase 3 worker configuration
 	// (0 = serial refinement).
 	RefineWorkers int `json:"refine_workers"`
-	// Shards echoes the server's road-network shard configuration
-	// (0 = unsharded execution).
-	Shards int `json:"shards"`
 	// DistCache reports the shared junction-pair distance cache behind
 	// /v1/clusters; nil when the cache is disabled.
 	DistCache *DistCacheDTO `json:"dist_cache,omitempty"`

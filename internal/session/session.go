@@ -63,9 +63,6 @@ type Config struct {
 	// Workers is the Phase 3 refinement worker count (0 serial,
 	// negative all CPUs); output-identical either way.
 	Workers int
-	// Shards is the road-network shard count for Phases 1-2;
-	// output-identical. 0 or 1 disables.
-	Shards int
 	// MaxInflight bounds concurrently served requests for this session
 	// (per-session admission; the server keeps its own global cap on
 	// top). 0 or negative disables the per-session bound. It seeds the
@@ -176,8 +173,7 @@ type Session struct {
 
 	// The session's single-flight clustering pipeline (a Pipeline is
 	// not safe for concurrent use; the chan lets a waiter abandon the
-	// wait on context expiry). Sharing one instance per session keeps
-	// its graph-partition cache warm across requests when Shards is on.
+	// wait on context expiry).
 	pipeSem  chan struct{}
 	pipeline *neat.Pipeline
 
@@ -293,9 +289,6 @@ func (s *Session) MaxBatch() int { return s.cfg.MaxBatch }
 
 // Workers returns the Phase 3 refinement worker configuration.
 func (s *Session) Workers() int { return s.cfg.Workers }
-
-// Shards returns the road-network shard configuration.
-func (s *Session) Shards() int { return s.cfg.Shards }
 
 // Current returns the published snapshot. It never blocks and never
 // observes a partially committed ingest; before the first ingest it is

@@ -50,8 +50,8 @@ func (s *Stats) Snapshot() (queries, settled int64) {
 // epoch-stamped work arrays below are reused across queries, so two
 // in-flight queries on the same Engine would corrupt each other's
 // distance labels. Confine each Engine to a single goroutine; worker
-// pools get per-goroutine engines via Clone or NewPool (engines share
-// the immutable graph and, optionally, one atomic Stats receiver, so
+// pools get per-goroutine engines via Clone (engines share the
+// immutable graph and, optionally, one atomic Stats receiver, so
 // cloning costs only the work arrays — O(nodes) memory, no
 // preprocessing).
 type Engine struct {
@@ -105,20 +105,6 @@ func (e *Engine) Clone() *Engine {
 	c := New(e.g, e.stats)
 	c.faults = e.faults
 	return c
-}
-
-// NewPool returns n independent Engines over g sharing one Stats
-// receiver (nil selects a private shared one), ready to be handed one
-// per worker goroutine.
-func NewPool(g *roadnet.Graph, stats *Stats, n int) []*Engine {
-	if stats == nil {
-		stats = &Stats{}
-	}
-	pool := make([]*Engine, n)
-	for i := range pool {
-		pool[i] = New(g, stats)
-	}
-	return pool
 }
 
 // SetFaults attaches a fault injector: every subsequent query first

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -121,61 +120,11 @@ func TestSnapshotTraceOffByDefault(t *testing.T) {
 	}
 }
 
-// TestStreamShardedMatchesUnsharded runs the same batch sequence with
-// and without road-network sharding and demands identical clusterings
-// (the stage engine's determinism contract, at the streaming layer).
-func TestStreamShardedMatchesUnsharded(t *testing.T) {
-	g, ds := streamSetup(t)
-	plain, err := New(g, streamConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := streamConfig()
-	scfg.Neat.Shards = 4
-	sharded, err := New(g, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range batches(ds, 3) {
-		a, err := plain.Ingest(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := sharded.Ingest(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.NewFlows != s.NewFlows || a.StandingFlows != s.StandingFlows {
-			t.Fatalf("batch %d: flow counts diverge: %d/%d vs %d/%d",
-				i, a.NewFlows, a.StandingFlows, s.NewFlows, s.StandingFlows)
-		}
-		if len(a.Clusters) != len(s.Clusters) {
-			t.Fatalf("batch %d: %d clusters unsharded, %d sharded", i, len(a.Clusters), len(s.Clusters))
-		}
-		for ci := range a.Clusters {
-			af, sf := a.Clusters[ci].Flows, s.Clusters[ci].Flows
-			if len(af) != len(sf) {
-				t.Fatalf("batch %d cluster %d: sizes %d vs %d", i, ci, len(af), len(sf))
-			}
-			for fi := range af {
-				if fmt.Sprint(af[fi].Route) != fmt.Sprint(sf[fi].Route) {
-					t.Fatalf("batch %d cluster %d flow %d: routes diverge", i, ci, fi)
-				}
-			}
-		}
-	}
-}
-
 // TestNewValidatesWholeConfig pins that construction rejects any
-// invalid part of the neat config, including the sharding knob.
+// invalid part of the neat config.
 func TestNewValidatesWholeConfig(t *testing.T) {
 	g, _ := streamSetup(t)
 	cfg := streamConfig()
-	cfg.Neat.Shards = -2
-	if _, err := New(g, cfg); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	cfg = streamConfig()
 	cfg.Neat.Refine.Epsilon = -5
 	if _, err := New(g, cfg); err == nil {
 		t.Error("invalid refine config accepted")
@@ -184,10 +133,5 @@ func TestNewValidatesWholeConfig(t *testing.T) {
 	cfg.Neat.Flow.Beta = 0.1
 	if _, err := New(g, cfg); err == nil {
 		t.Error("invalid flow config accepted")
-	}
-	cfg = streamConfig()
-	cfg.Neat.Shards = 3
-	if _, err := New(g, cfg); err != nil {
-		t.Errorf("valid sharded config rejected: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package traj
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/conc"
@@ -11,7 +10,9 @@ import (
 
 // PartitionDatasetParallel partitions a dataset across a pool of
 // workers, each with its own gap-repair engine, and returns the
-// fragments in the exact order a serial PartitionDataset would.
+// fragments in the exact order a serial PartitionDataset would. On
+// invalid input it returns exactly the serial error: the failure of
+// the first bad trajectory in dataset order, whatever the scheduling.
 //
 // Phase 1 dominates NEAT's running time (the paper's Fig 6(b)) because
 // it touches every location sample, and it is embarrassingly parallel
@@ -24,7 +25,11 @@ func PartitionDatasetParallel(g *roadnet.Graph, d Dataset, workers int) ([]TFrag
 	}
 	workers = conc.WorkersFor(workers, n)
 	perTraj := make([][]TFragment, n)
-	errs := make([]error, workers)
+	// One error slot per trajectory. Indices leave the channel in
+	// dataset order and a worker stops only after recording a failure,
+	// so the first bad trajectory is always reached and the scan below
+	// returns its error.
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	next := make(chan int, n)
 	for i := 0; i < n; i++ {
@@ -33,18 +38,18 @@ func PartitionDatasetParallel(g *roadnet.Graph, d Dataset, workers int) ([]TFrag
 	close(next)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			p := NewPartitioner(g, shortest.New(g, nil))
 			for i := range next {
 				frags, err := p.Partition(d.Trajectories[i])
 				if err != nil {
-					errs[w] = fmt.Errorf("traj: parallel partition trajectory %d: %w", d.Trajectories[i].ID, err)
+					errs[i] = err
 					return
 				}
 				perTraj[i] = frags
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -87,6 +87,33 @@ func TestParallelPropagatesErrors(t *testing.T) {
 	}
 }
 
+// TestParallelErrorMatchesSerial pins deterministic error selection:
+// with two invalid trajectories, the parallel partitioner must report
+// exactly the error serial PartitionDataset reports — the first bad
+// trajectory in dataset order, with the same text — on every run.
+func TestParallelErrorMatchesSerial(t *testing.T) {
+	g, _, segs := chain(t)
+	ds := parallelDataset(t, g, segs)
+	for _, i := range []int{3, 20} {
+		ds.Trajectories[i].Points = []Location{
+			Sample(segs[0], geo.Pt(10, 0), 10),
+			Sample(segs[0], geo.Pt(20, 0), 5), // unordered
+		}
+	}
+	_, serr := NewPartitioner(g, shortest.New(g, nil)).PartitionDataset(ds)
+	if serr == nil {
+		t.Fatal("serial partition accepted invalid trajectories")
+	}
+	for _, workers := range []int{2, 4, 8} {
+		for run := 0; run < 200; run++ {
+			_, err := PartitionDatasetParallel(g, ds, workers)
+			if err == nil || err.Error() != serr.Error() {
+				t.Fatalf("workers=%d run %d: error %v, want serial %v", workers, run, err, serr)
+			}
+		}
+	}
+}
+
 func TestParallelDefaultWorkers(t *testing.T) {
 	g, _, segs := chain(t)
 	ds := parallelDataset(t, g, segs)
