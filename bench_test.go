@@ -303,9 +303,14 @@ func BenchmarkAblationSP(b *testing.B) {
 	}
 	for _, algo := range []neat.SPAlgo{neat.SPDijkstra, neat.SPAStar, neat.SPBidirectional, neat.SPALT, neat.SPCH} {
 		// workers 0 = the serial scan; -1 = all CPUs, which for the
-		// Dijkstra kernel dispatches to the batched one-to-many builder
-		// and for the rest shards the pairwise scan.
-		for _, workers := range []int{0, -1} {
+		// Dijkstra kernel dispatches to the batched one-to-many builder.
+		// Every other kernel runs the serial scan whatever Workers says,
+		// so it has no parallel variant.
+		workerCounts := []int{0}
+		if algo == neat.SPDijkstra {
+			workerCounts = append(workerCounts, -1)
+		}
+		for _, workers := range workerCounts {
 			name := algo.String()
 			if workers != 0 {
 				name += "/parallel"

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/neat"
 )
 
 // tinyEnv builds the smallest environment that still exercises every
@@ -133,6 +135,26 @@ func TestAblationRunnersSmoke(t *testing.T) {
 		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s produced no rows", id)
+		}
+	}
+}
+
+// TestSameClustering pins the phase3-workers identity check: it must
+// reject a clustering that matches the serial one only in cluster count.
+func TestSameClustering(t *testing.T) {
+	f := []*neat.FlowCluster{{}, {}, {}}
+	serial := []*neat.TrajectoryCluster{{Flows: f[:2]}, {Flows: f[2:]}}
+	if err := sameClustering(serial, []*neat.TrajectoryCluster{{Flows: f[:2]}, {Flows: f[2:]}}); err != nil {
+		t.Errorf("identical clusterings rejected: %v", err)
+	}
+	for name, batched := range map[string][]*neat.TrajectoryCluster{
+		"count":      {{Flows: f}},
+		"size":       {{Flows: f[:1]}, {Flows: f[1:]}},
+		"flow order": {{Flows: []*neat.FlowCluster{f[1], f[0]}}, {Flows: f[2:]}},
+		"flow":       {{Flows: f[:2]}, {Flows: []*neat.FlowCluster{{}}}},
+	} {
+		if err := sameClustering(serial, batched); err == nil {
+			t.Errorf("%s difference accepted", name)
 		}
 	}
 }

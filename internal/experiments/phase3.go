@@ -14,8 +14,9 @@ import (
 // kernel). The batched builder collapses the up-to 4·F·(F−1)/2
 // point-to-point queries into at most 2F bounded expansions, so the
 // speedup holds even on a single core; extra workers shard the
-// expansions on top. Both builders produce identical clusters — the
-// row's Clusters column is asserted equal across modes.
+// expansions on top. Both builders produce identical clusters: every
+// row asserts the same clusters in the same order holding the same
+// flows, and the experiment fails on any difference.
 func Phase3Workers(e *Env) (*Table, error) {
 	t := &Table{
 		ID:     "phase3-workers",
@@ -55,9 +56,8 @@ func Phase3Workers(e *Env) (*Table, error) {
 			return nil, err
 		}
 		batchedMs := float64(time.Since(start).Microseconds()) / 1000
-		if len(batched) != len(serial) {
-			return nil, fmt.Errorf("experiments: phase3-workers %s: batched produced %d clusters, serial %d",
-				ds.Name, len(batched), len(serial))
+		if err := sameClustering(serial, batched); err != nil {
+			return nil, fmt.Errorf("experiments: phase3-workers %s: %w", ds.Name, err)
 		}
 		speedup := 0.0
 		if batchedMs > 0 {
@@ -67,4 +67,25 @@ func Phase3Workers(e *Env) (*Table, error) {
 			stats.Expansions, stats.PrunedPairs, len(batched))
 	}
 	return t, nil
+}
+
+// sameClustering reports the first difference between the serial and
+// batched clusterings of one flow set: the cluster count, a cluster's
+// size, or the flow at one position. Flows are compared by pointer, so
+// the clusters and the flows within each must come in the same order.
+func sameClustering(serial, batched []*neat.TrajectoryCluster) error {
+	if len(batched) != len(serial) {
+		return fmt.Errorf("batched produced %d clusters, serial %d", len(batched), len(serial))
+	}
+	for ci, c := range serial {
+		if len(batched[ci].Flows) != len(c.Flows) {
+			return fmt.Errorf("cluster %d holds %d flows batched, %d serial", ci, len(batched[ci].Flows), len(c.Flows))
+		}
+		for fi, f := range c.Flows {
+			if batched[ci].Flows[fi] != f {
+				return fmt.Errorf("cluster %d differs from serial at flow %d", ci, fi)
+			}
+		}
+	}
+	return nil
 }

@@ -57,7 +57,7 @@ func TestSharedCacheEquivalence(t *testing.T) {
 			{Epsilon: eps},
 			{Epsilon: eps / 2, UseELB: true, Bounded: true},         // narrower ε reuses bound classes
 			{Epsilon: eps, UseELB: true, Bounded: true, Workers: 2}, // batched builder
-			{Epsilon: eps, Algo: SPBidirectional, Workers: 2},       // pairwise parallel builder
+			{Epsilon: eps, Algo: SPBidirectional, Workers: 2},       // serial scan: Workers needs Dijkstra
 			{Epsilon: eps, Algo: SPAStar},
 			{Epsilon: eps, Algo: SPCH, UseELB: true},
 		}

@@ -47,7 +47,7 @@ func waitForGoroutines(t *testing.T, base, slack int) {
 
 // TestRunPlanCtxCancellation cancels a plan mid-Phase-3 (injected
 // shortest-path latency guarantees the deadline fires inside the
-// ε-graph build) for every builder strategy, then checks the three
+// ε-graph build) for both builders, then checks the three
 // robustness invariants: the ctx error is reported, no goroutines
 // leak, and a healed re-run is byte-identical to a never-cancelled
 // reference run.
@@ -72,7 +72,6 @@ func TestRunPlanCtxCancellation(t *testing.T) {
 	}{
 		{"serial", RefineConfig{Epsilon: 2500}},
 		{"batched", RefineConfig{Epsilon: 2500, Workers: 4}},
-		{"pairwise", RefineConfig{Epsilon: 2500, Algo: SPAStar, Workers: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,26 +9,28 @@ import (
 	"repro/internal/shortest"
 )
 
-// EpsGraph maintains a Phase 3 ε-graph across flow-set edits, so a
-// streaming caller re-merging a mostly unchanged standing flow set does
-// not rebuild the graph from scratch. The supported edits mirror the
-// sliding window of internal/stream: evictions remove a prefix of the
-// flow list (the oldest batches), and arrivals append to it.
+// EpsGraph is Phase 3's serial pairwise ε-graph scan, maintained across
+// flow-set edits so a streaming caller re-merging a mostly unchanged
+// standing flow set does not rebuild the graph from scratch. A
+// from-scratch RefineFlows outside the batched builder is one Extend of
+// an empty graph. The supported edits mirror the sliding window of
+// internal/stream: evictions remove a prefix of the flow list (the
+// oldest batches), and arrivals append to it.
 //
 // Output equivalence to a from-scratch rebuild is structural, not
-// approximate. The serial builder appends neighbors while scanning
-// pairs (i, j) in lexicographic order, so every adjacency row is
-// ascending. Removing a prefix of k flows deletes rows 0..k-1, filters
-// surviving rows' neighbors below k, and renumbers the rest — exactly
-// the rows and entries a rebuild over the surviving flows would
-// produce, in the same order. Extending by m flows evaluates exactly
-// the pairs a rebuild would evaluate that involve a new flow, again in
-// lexicographic order: old rows gain their new (≥ oldCount) neighbors
-// after their existing (< oldCount) ones, and new rows are filled in
-// ascending order — matching the rebuild's append order, where every
-// pair (i, j) with i < j precedes every pair (j, j'). The DBSCAN pass
-// (clusterEpsGraph) is shared verbatim with RefineFlows, so clustering
-// the maintained graph is byte-identical to clustering a rebuilt one.
+// approximate. Extend appends neighbors while scanning pairs (i, j) in
+// lexicographic order, so every adjacency row is ascending. Removing a
+// prefix of k flows deletes rows 0..k-1, filters surviving rows'
+// neighbors below k, and renumbers the rest — exactly the rows and
+// entries a rebuild over the surviving flows would produce, in the same
+// order. Extending by m flows evaluates exactly the pairs a rebuild
+// would evaluate that involve a new flow, again in lexicographic order:
+// old rows gain their new (≥ oldCount) neighbors after their existing
+// (< oldCount) ones, and new rows are filled in ascending order —
+// matching the rebuild's append order, where every pair (i, j) with
+// i < j precedes every pair (j, j'). The DBSCAN pass (clusterEpsGraph)
+// is shared verbatim with the batched RefineFlows, so clustering the
+// maintained graph is byte-identical to clustering a rebuilt one.
 //
 // An EpsGraph is not safe for concurrent use. Pair evaluation is
 // serial; attach a RefineConfig.Cache to make the incremental scan
@@ -108,8 +110,9 @@ func (eg *EpsGraph) RemovePrefix(k int) {
 
 // Extend appends the given flows and evaluates exactly the candidate
 // pairs that involve at least one of them, in the lexicographic order
-// the from-scratch serial scan would use. It returns the work counters
-// of this evaluation (Pairs counts only the newly evaluated pairs).
+// a from-scratch scan of the whole list would use. It returns the work
+// counters of this evaluation (Pairs counts only the newly evaluated
+// pairs).
 //
 // On context cancellation or an injected shortest-path fault
 // (RefineConfig.Fault) the extension rolls back completely — flow list,
@@ -187,8 +190,8 @@ scan:
 
 // Cluster runs the deterministic DBSCAN pass over the maintained graph
 // and returns the trajectory clusters plus the pass's wall time. The
-// pass is the one RefineFlows runs, on the identical adjacency — see
-// the type comment for why the result is byte-identical.
+// pass is the one every RefineFlows runs, on the identical adjacency —
+// see the type comment for why the result is byte-identical.
 func (eg *EpsGraph) Cluster() ([]*TrajectoryCluster, time.Duration, error) {
 	if len(eg.flows) == 0 {
 		return nil, 0, nil

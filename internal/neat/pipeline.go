@@ -229,10 +229,11 @@ func (p *Pipeline) Run(ds traj.Dataset, cfg Config, level Level) (*Result, error
 // likewise resolve via conc.Workers). Phase 1 dominates NEAT's cost
 // (Fig 6(b)) and is embarrassingly parallel across trajectories.
 // Phase 3 also runs with the same worker count unless cfg.Refine
-// already pins one: the ε-graph is then built by the batched
-// one-to-many builder (or the sharded pairwise scan, depending on the
-// kernel — see RefineConfig.Workers), whose output is identical to the
-// serial scan's, so results match Run exactly.
+// already pins one: with the Dijkstra kernel and a finite ε the
+// ε-graph is then built by the batched one-to-many builder, and every
+// other kernel keeps the serial scan (see RefineConfig.Workers). Either
+// way the output is identical to the serial scan's, so results match
+// Run exactly.
 func (p *Pipeline) RunParallel(ds traj.Dataset, cfg Config, level Level, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = -1 // resolve to GOMAXPROCS at the pools
@@ -305,23 +306,4 @@ func AnnotateRefineSpan(sp *obs.Span, cfg RefineConfig, stats RefineStats, clust
 // distributed preprocessing nodes of §II-C).
 func (p *Pipeline) Partition(ds traj.Dataset) ([]traj.TFragment, error) {
 	return p.part.PartitionDataset(ds)
-}
-
-// MergeFlows combines two flow sets and re-runs Phase 3 over the union,
-// implementing the incremental refinement of §III-C1: "the new flow
-// clusters are then merged with the available flow clusters to produce
-// compact clustering results".
-func (p *Pipeline) MergeFlows(existing, incoming []*FlowCluster, cfg RefineConfig) ([]*TrajectoryCluster, RefineStats, error) {
-	all := make([]*FlowCluster, 0, len(existing)+len(incoming))
-	all = append(all, existing...)
-	all = append(all, incoming...)
-	plan, err := NewPlan(Config{Refine: cfg}, LevelOpt, FromFlows, Exec{})
-	if err != nil {
-		return nil, RefineStats{}, err
-	}
-	res, err := p.RunPlan(plan, Input{Flows: all})
-	if err != nil {
-		return nil, RefineStats{}, err
-	}
-	return res.Clusters, res.RefineStats, nil
 }

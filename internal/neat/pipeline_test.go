@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/proptest"
 	"repro/internal/roadnet"
-	"repro/internal/traj"
 )
 
 func TestPipelineEndToEnd(t *testing.T) {
@@ -179,47 +178,6 @@ func TestRunFragmentsMatchesRun(t *testing.T) {
 	}
 	if direct.NumFragments != viaFrags.NumFragments {
 		t.Errorf("fragments differ: %d vs %d", direct.NumFragments, viaFrags.NumFragments)
-	}
-}
-
-func TestMergeFlowsIncremental(t *testing.T) {
-	// Split the dataset in two batches; incremental (phase 1+2 per
-	// batch, merged phase 3) must produce a comparable clustering to
-	// one-shot processing.
-	g, ds := proptest.SimScenario(t, 80)
-	p := NewPipeline(g)
-	cfg := DefaultConfig()
-	cfg.Refine.Epsilon = 2000
-
-	half := len(ds.Trajectories) / 2
-	batch1 := traj.Dataset{Name: "b1", Trajectories: ds.Trajectories[:half]}
-	batch2 := traj.Dataset{Name: "b2", Trajectories: ds.Trajectories[half:]}
-
-	r1, err := p.Run(batch1, cfg, LevelFlow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := p.Run(batch2, cfg, LevelFlow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, stats, err := p.MergeFlows(r1.Flows, r2.Flows, cfg.Refine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) == 0 {
-		t.Fatal("incremental merge produced nothing")
-	}
-	if stats.Pairs == 0 && len(r1.Flows)+len(r2.Flows) > 1 {
-		t.Error("no pairs examined")
-	}
-	// Every input flow lands in exactly one cluster.
-	count := 0
-	for _, c := range merged {
-		count += len(c.Flows)
-	}
-	if count != len(r1.Flows)+len(r2.Flows) {
-		t.Errorf("merged clusters hold %d flows, want %d", count, len(r1.Flows)+len(r2.Flows))
 	}
 }
 

@@ -100,21 +100,20 @@ type RefineConfig struct {
 	// Algo selects the shortest-path kernel (ablation; the paper uses
 	// Dijkstra). Bounded is only honored by SPDijkstra.
 	Algo SPAlgo
-	// Workers selects Phase 3's ε-graph construction strategy (an
-	// extension beyond the paper). 0 — the default — runs the serial
-	// pairwise scan exactly as §III-C describes, preserving the
-	// paper's per-pair query accounting. Any other value enables
-	// parallel construction over that many worker goroutines (negative
-	// selects GOMAXPROCS), each owning its single-goroutine shortest-
-	// path engine. With the Dijkstra kernel (and a finite ε) the
-	// pairwise scan is additionally re-batched into bounded one-to-many
-	// expansions — one per distinct flow-endpoint junction, carrying
-	// only targets a Euclidean point-grid pre-filter admits — so
-	// Bounded is implied and ignored; the other kernels keep
-	// point-to-point queries and shard the pair scan.
-	// Clustering output is identical to the serial path in every case
-	// (the builders are merged deterministically); only the work
-	// accounting differs — see RefineStats.
+	// Workers selects the batched ε-graph builder (an extension beyond
+	// the paper). 0 — the default — runs the serial pairwise scan
+	// exactly as §III-C describes, preserving the paper's per-pair
+	// query accounting. Any other value, with the Dijkstra kernel and a
+	// finite ε, re-batches the scan into bounded one-to-many expansions
+	// — one per distinct flow-endpoint junction, carrying only targets
+	// a Euclidean point-grid pre-filter admits — sharded over that many
+	// worker goroutines (negative selects GOMAXPROCS), each owning its
+	// single-goroutine shortest-path engine; Bounded is then implied
+	// and ignored. The other kernels, and an infinite ε, run the serial
+	// scan whatever Workers says. Clustering output is identical to the
+	// serial scan in every case (the batched builder merges
+	// deterministically); only the work accounting differs — see
+	// RefineStats.
 	Workers int
 }
 
@@ -127,7 +126,7 @@ func (c RefineConfig) withDefaults() RefineConfig {
 
 // Validate reports configuration errors.
 func (c RefineConfig) Validate() error {
-	if c.Epsilon <= 0 {
+	if !(c.Epsilon > 0) { // also rejects NaN
 		return fmt.Errorf("neat: refinement ε must be positive, got %g", c.Epsilon)
 	}
 	return nil
@@ -140,24 +139,24 @@ type RefineStats struct {
 	Pairs int
 	// ELBPruned is the number of pairs eliminated by the Euclidean
 	// lower bound without any shortest-path computation. Identical
-	// across the serial and parallel builders for a given config.
+	// across the serial and batched builders for a given config.
 	ELBPruned int
 	// SPQueries is the number of shortest-path computations issued
-	// (point-to-point on the serial/pairwise paths; one per one-to-many
+	// (point-to-point on the serial path; one per one-to-many
 	// expansion on the batched path).
 	SPQueries int64
 	// SettledNodes is the number of nodes settled across those
 	// computations (the real cost driver of network expansion).
 	SettledNodes int64
 	// Expansions is the number of bounded one-to-many expansions the
-	// batched builder ran; 0 on the serial and pairwise paths.
+	// batched builder ran; 0 on the serial path.
 	Expansions int64
 	// PrunedPairs is the number of pairs the Euclidean point-grid
 	// pre-filter rejected before any expansion was scheduled (batched
 	// path only; equals ELBPruned there when UseELB is set).
 	PrunedPairs int
-	// Workers is the worker count the ε-graph construction actually
-	// used; 0 means the serial paper path.
+	// Workers is the worker count the batched builder used; 0 means
+	// the serial paper path ran.
 	Workers int
 	// CacheHits and CacheMisses count shared-cache consultations
 	// (RefineConfig.Cache); both are 0 when no cache is attached. A hit
@@ -224,11 +223,10 @@ func flowEndpoints(flows []*FlowCluster) []flowEnds {
 
 // pairEvaluator evaluates the modified-Hausdorff ε-predicate of
 // Definition 11 for flow pairs, one pair at a time, with the ELB filter
-// of §III-C3 applied first when enabled. It owns a single-goroutine
+// of §III-C3 applied first when enabled. It drives a single-goroutine
 // shortest-path engine plus an optional distance cache; the ALT/CH
-// preprocessing structures are shared (they are read-only after
-// construction). The serial scan uses one evaluator; the pairwise
-// parallel builder uses one per worker.
+// preprocessing structures are read-only after construction.
+// EpsGraph.Extend, the one serial scan, uses one evaluator per call.
 type pairEvaluator struct {
 	g         *roadnet.Graph
 	cfg       RefineConfig
@@ -388,32 +386,12 @@ func hausdorffWithin(dn [2][2]float64, eps float64) bool {
 	return worst <= eps
 }
 
-// refineStrategy names an ε-graph construction strategy.
-type refineStrategy uint8
-
-const (
-	// stratSerial is the paper's pairwise scan on one goroutine.
-	stratSerial refineStrategy = iota
-	// stratPairwise shards the pairwise scan across workers.
-	stratPairwise
-	// stratBatched runs bounded one-to-many expansions per distinct
-	// endpoint junction (SPDijkstra only).
-	stratBatched
-)
-
-// strategy maps the config to the builder that will construct the
-// ε-graph. The batched builder needs a finite radius and replaces the
-// Dijkstra kernel outright, so other kernels (and an infinite ε) fall
-// back to the sharded pairwise scan.
-func (c RefineConfig) strategy() refineStrategy {
-	switch {
-	case c.Workers == 0:
-		return stratSerial
-	case c.Algo == SPDijkstra && !math.IsInf(c.Epsilon, 1):
-		return stratBatched
-	default:
-		return stratPairwise
-	}
+// batched reports whether Phase 3 builds its ε-graph with the batched
+// one-to-many builder: it needs worker goroutines, the Dijkstra kernel
+// it replaces, and a finite radius to bound its expansions. Every
+// other configuration runs the serial pairwise scan of an EpsGraph.
+func (c RefineConfig) batched() bool {
+	return c.Workers != 0 && c.Algo == SPDijkstra && !math.IsInf(c.Epsilon, 1)
 }
 
 // RefineFlows performs Phase 3: it merges flow clusters whose
@@ -422,9 +400,10 @@ func (c RefineConfig) strategy() refineStrategy {
 // deterministic DBSCAN seeded longest-route-first. It returns the final
 // trajectory clusters together with work statistics.
 //
-// cfg.Workers selects the ε-graph construction strategy (serial,
-// batched one-to-many, or sharded pairwise — see RefineConfig); every
-// strategy produces the identical clustering.
+// The ε-graph comes from a fresh EpsGraph's serial pairwise scan, or —
+// when cfg.Workers is set with the Dijkstra kernel and a finite ε —
+// from the batched one-to-many builder (see RefineConfig.Workers);
+// both produce the identical clustering.
 func RefineFlows(g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig) ([]*TrajectoryCluster, RefineStats, error) {
 	return RefineFlowsCtx(context.Background(), g, flows, cfg)
 }
@@ -435,77 +414,48 @@ func RefineFlows(g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig) ([]*T
 // returned. A re-run with an uncancelled context is byte-identical to a
 // run that was never cancelled — cancellation never leaks into state.
 func RefineFlowsCtx(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig) ([]*TrajectoryCluster, RefineStats, error) {
-	return refineFlowsWith(ctx, g, flows, cfg, cfg.strategy())
-}
-
-func refineFlowsWith(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, strat refineStrategy) ([]*TrajectoryCluster, RefineStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, RefineStats{}, err
 	}
-	cfg = cfg.withDefaults()
 	if len(flows) == 0 {
 		return nil, RefineStats{}, nil
 	}
+	if !cfg.batched() {
+		eg, err := NewEpsGraph(g, cfg)
+		if err != nil {
+			return nil, RefineStats{}, err
+		}
+		stats, err := eg.Extend(ctx, flows)
+		if err != nil {
+			return nil, stats, err
+		}
+		clusters, clusterTime, err := eg.Cluster()
+		stats.ClusterTime = clusterTime
+		return clusters, stats, err
+	}
+
+	cfg = cfg.withDefaults()
 	// Bind the shared cache to this (graph, kernel) scope; if it was
 	// last used against a different one, this invalidates every entry.
 	cfg.Cache.SetScope(cacheScope(g, cfg))
-
-	spStats := &shortest.Stats{}
-	stats := RefineStats{}
-	endpoints := flowEndpoints(flows)
-
-	var alt *shortest.ALT
-	if cfg.Algo == SPALT {
-		var err error
-		alt, err = shortest.NewALT(g, altLandmarkCount)
-		if err != nil {
-			return nil, RefineStats{}, fmt.Errorf("neat: ALT preprocessing: %w", err)
-		}
-	}
-	var ch *shortest.CH
-	if cfg.Algo == SPCH {
-		var err error
-		ch, err = shortest.NewCH(g)
-		if err != nil {
-			return nil, RefineStats{}, fmt.Errorf("neat: CH preprocessing: %w", err)
-		}
-	}
-
-	// Precompute the ε-graph; the DBSCAN oracle below serves from it.
-	graphStart := time.Now()
-	var adjacency [][]int
-	var err error
-	switch strat {
-	case stratBatched:
-		adjacency, err = buildEpsGraphBatched(ctx, g, flows, endpoints, cfg, spStats, &stats)
-	case stratPairwise:
-		adjacency, err = buildEpsGraphPairwise(ctx, g, flows, endpoints, cfg, spStats, alt, ch, &stats)
-	default:
-		adjacency, err = buildEpsGraphSerial(ctx, g, flows, endpoints, cfg, spStats, alt, ch, &stats)
-	}
+	var stats RefineStats
+	start := time.Now()
+	adjacency, err := buildEpsGraphBatched(ctx, g, flows, cfg, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.GraphTime = time.Since(graphStart)
-
-	clusterStart := time.Now()
+	stats.GraphTime = time.Since(start)
+	start = time.Now()
 	clusters, err := clusterEpsGraph(g, flows, adjacency, cfg)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.ClusterTime = time.Since(clusterStart)
-
-	q, settled := spStats.Snapshot()
-	stats.SPQueries += q
-	stats.SettledNodes += settled
-	return clusters, stats, nil
+	stats.ClusterTime = time.Since(start)
+	return clusters, stats, err
 }
 
 // clusterEpsGraph runs the deterministic DBSCAN pass over a completed
 // ε-graph and assembles the trajectory clusters. It is the shared tail
-// of refineFlowsWith and EpsGraph.Cluster: both the from-scratch and
-// the incrementally maintained graph feed the identical pass, which is
-// why incremental maintenance cannot change the output.
+// of the batched RefineFlows and EpsGraph.Cluster: every ε-graph feeds
+// the identical pass, which is why neither the builder nor incremental
+// maintenance can change the output.
 func clusterEpsGraph(g *roadnet.Graph, flows []*FlowCluster, adjacency [][]int, cfg RefineConfig) ([]*TrajectoryCluster, error) {
 	// Deterministic seed order: longest representative route first
 	// (modification (4) of §III-C2); ties by route segment count, then
@@ -552,33 +502,4 @@ func clusterEpsGraph(g *roadnet.Graph, flows []*FlowCluster, adjacency [][]int, 
 	}
 	clusters = append(clusters, noise...)
 	return clusters, nil
-}
-
-// buildEpsGraphSerial is the paper's pairwise scan: every one of the
-// F·(F−1)/2 pairs is evaluated in order by a single evaluator. It
-// aborts on context cancellation or an injected shortest-path fault,
-// discarding the partial graph.
-func buildEpsGraphSerial(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, endpoints []flowEnds, cfg RefineConfig, spStats *shortest.Stats, alt *shortest.ALT, ch *shortest.CH, stats *RefineStats) ([][]int, error) {
-	pe := newPairEvaluator(g, cfg, endpoints, shortest.New(g, spStats), alt, ch)
-	adjacency := make([][]int, len(flows))
-	for i := 0; i < len(flows); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for j := i + 1; j < len(flows); j++ {
-			stats.Pairs++
-			if pe.withinEps(i, j) {
-				adjacency[i] = append(adjacency[i], j)
-				adjacency[j] = append(adjacency[j], i)
-			}
-			if pe.err != nil {
-				return nil, pe.err
-			}
-		}
-	}
-	stats.ELBPruned = pe.elbPruned
-	stats.SPQueries += pe.spQueriesCH
-	stats.CacheHits += pe.cacheHits
-	stats.CacheMisses += pe.cacheMisses
-	return adjacency, nil
 }

@@ -17,7 +17,19 @@ import (
 	"repro/internal/spatial"
 )
 
-// firstBuildError picks the error a parallel builder reports, making
+// This file holds the batched ε-graph builder behind
+// RefineConfig.Workers (Dijkstra kernel, finite ε). It collects the ≤2F
+// distinct flow-endpoint junctions, pre-filters candidate pairs with a
+// Euclidean point grid (sound because dE <= dN), and runs ONE bounded
+// one-to-many Dijkstra expansion per remaining source junction —
+// collapsing up to 4·F·(F−1)/2 point-to-point queries into at most 2F
+// expansions. The expansions are sharded statically (conc.Chunk) over
+// per-worker single-goroutine engines (see the shortest.Engine
+// concurrency invariant) and merged in a fixed order, so for any worker
+// count the adjacency — and hence the clustering — is byte-identical to
+// the serial scan's.
+
+// firstBuildError picks the error the batched builder reports, making
 // the choice deterministic regardless of which worker tripped first in
 // wall-clock time: cancellation wins (the caller asked to stop), then
 // the lowest-indexed worker's error.
@@ -33,124 +45,11 @@ func firstBuildError(ctx context.Context, errs []error) error {
 	return nil
 }
 
-// This file holds the parallel ε-graph builders behind
-// RefineConfig.Workers. Both shard their work statically
-// (conc.Chunk) across a pool of single-goroutine shortest-path
-// engines (shortest.Engine.Clone-style; see the Engine concurrency
-// invariant) and merge per-worker partials in a fixed order, so for
-// any worker count the resulting adjacency — and hence the clustering
-// — is byte-identical to the serial scan's.
-//
-//   - buildEpsGraphPairwise keeps the paper's point-to-point predicate
-//     evaluation and shards the F·(F−1)/2 pairs across workers. It
-//     works with every SPAlgo kernel (ALT and CH preprocessing
-//     structures are read-only after construction and shared).
-//
-//   - buildEpsGraphBatched replaces the pairwise scan entirely: it
-//     collects the ≤2F distinct flow-endpoint junctions, pre-filters
-//     candidate pairs with a Euclidean point grid (sound because
-//     dE <= dN), and runs ONE bounded one-to-many Dijkstra expansion
-//     per remaining source junction — collapsing up to 4·F·(F−1)/2
-//     point-to-point queries into at most 2F expansions. Used for the
-//     SPDijkstra kernel with a finite ε.
-
-// buildEpsGraphPairwise shards the pairwise scan across workers, one
-// pairEvaluator (and engine, and distance cache) per worker. Pair
-// results land in a flat edge bitmap indexed by canonical pair index,
-// so the merge order is independent of goroutine scheduling.
-func buildEpsGraphPairwise(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, endpoints []flowEnds, cfg RefineConfig, spStats *shortest.Stats, alt *shortest.ALT, ch *shortest.CH, stats *RefineStats) ([][]int, error) {
-	n := len(flows)
-	total := n * (n - 1) / 2
-	stats.Pairs = total
-	adjacency := make([][]int, n)
-	if total == 0 {
-		return adjacency, nil
-	}
-	workers := conc.WorkersFor(cfg.Workers, total)
-	stats.Workers = workers
-
-	// stop flips when any worker hits an injected fault or observes
-	// cancellation; the others notice at their next pair and drain, so
-	// wg.Wait below never blocks on work nobody wants.
-	var stop atomic.Bool
-	edges := make([]bool, total)
-	evals := make([]*pairEvaluator, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		pe := newPairEvaluator(g, cfg, endpoints, shortest.New(g, spStats), alt, ch)
-		evals[w] = pe
-		lo, hi := conc.Chunk(w, workers, total)
-		wg.Add(1)
-		go func(w int, pe *pairEvaluator, lo, hi int) {
-			defer wg.Done()
-			i, j := pairAt(lo, n)
-			for k := lo; k < hi; k++ {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					stop.Store(true)
-					return
-				}
-				if pe.withinEps(i, j) {
-					edges[k] = true
-				}
-				if pe.err != nil {
-					errs[w] = pe.err
-					stop.Store(true)
-					return
-				}
-				if j++; j == n {
-					i++
-					j = i + 1
-				}
-			}
-		}(w, pe, lo, hi)
-	}
-	wg.Wait()
-	if err := firstBuildError(ctx, errs); err != nil {
-		return nil, err
-	}
-	for _, pe := range evals {
-		stats.ELBPruned += pe.elbPruned
-		stats.SPQueries += pe.spQueriesCH
-		stats.CacheHits += pe.cacheHits
-		stats.CacheMisses += pe.cacheMisses
-	}
-
-	k := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if edges[k] {
-				adjacency[i] = append(adjacency[i], j)
-				adjacency[j] = append(adjacency[j], i)
-			}
-			k++
-		}
-	}
-	return adjacency, nil
-}
-
-// pairAt returns the pair (i, j), i < j, at linear index k of the
-// canonical enumeration (0,1),(0,2),…,(0,n−1),(1,2),… used to shard
-// the scan.
-func pairAt(k, n int) (int, int) {
-	i := 0
-	rowLen := n - 1
-	for k >= rowLen {
-		k -= rowLen
-		i++
-		rowLen--
-	}
-	return i, i + 1 + k
-}
-
 // buildEpsGraphBatched is the batched one-to-many builder (tentpole of
 // the ε-graph construction): grid pre-filter, per-source expansions
 // sharded across workers, deterministic merge, then a cheap sequential
 // predicate pass over the candidate pairs.
-func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, endpoints []flowEnds, cfg RefineConfig, spStats *shortest.Stats, stats *RefineStats) ([][]int, error) {
+func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
 	n := len(flows)
 	stats.Pairs = n * (n - 1) / 2
 	adjacency := make([][]int, n)
@@ -158,6 +57,7 @@ func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCl
 		return adjacency, nil
 	}
 	eps := cfg.Epsilon
+	endpoints := flowEndpoints(flows)
 
 	// Distinct endpoint junctions, ascending; flowsAt maps each one
 	// back to the flows that end there.
@@ -307,6 +207,7 @@ func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCl
 			stats.Expansions++
 		}
 	}
+	spStats := &shortest.Stats{}
 	var stop atomic.Bool
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -344,6 +245,7 @@ func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCl
 	if err := firstBuildError(ctx, errs); err != nil {
 		return nil, err
 	}
+	stats.SPQueries, stats.SettledNodes = spStats.Snapshot()
 
 	// Merge the per-worker partial tables into the distance lookup,
 	// writing each computed row back to the shared cache (nil-safe):

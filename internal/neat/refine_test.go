@@ -1,6 +1,7 @@
 package neat
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geo"
@@ -160,6 +161,9 @@ func TestRefineEmptyAndErrors(t *testing.T) {
 	}
 	if _, _, err := RefineFlows(g, flows, RefineConfig{Epsilon: -5}); err == nil {
 		t.Error("negative ε accepted")
+	}
+	if _, _, err := RefineFlows(g, flows, RefineConfig{Epsilon: math.NaN()}); err == nil {
+		t.Error("NaN ε accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package neat
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -14,8 +13,8 @@ import (
 // identicalClusters demands byte-identical output: the same clusters,
 // in the same order, each holding the same flow pointers in the same
 // order. This is stronger than the multiset comparison of
-// refine_equiv_test.go — the parallel builders promise deterministic
-// merges, not merely equivalent partitions.
+// refine_equiv_test.go — the batched builder promises a deterministic
+// merge, not merely an equivalent partition.
 func identicalClusters(a, b []*TrajectoryCluster) bool {
 	if len(a) != len(b) {
 		return false
@@ -35,9 +34,11 @@ func identicalClusters(a, b []*TrajectoryCluster) bool {
 
 // TestRefineWorkersEquivalence is the parallel counterpart of
 // TestRefineOptimizationEquivalence: for every SPAlgo kernel and
-// worker count, the parallel/batched builders must produce clusters
-// identical to the serial scan — same order, same flow pointers — and
-// identical ELBPruned and Pairs accounting.
+// worker count, RefineFlows must produce clusters identical to the
+// serial scan — same order, same flow pointers — and identical
+// ELBPruned and Pairs accounting. Outside the batched builder Workers
+// must change nothing at all: the run reports Workers 0 and, with no
+// cache attached, the serial run's exact shortest-path work.
 func TestRefineWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 12; trial++ {
@@ -81,17 +82,30 @@ func TestRefineWorkersEquivalence(t *testing.T) {
 					t.Errorf("trial %d algo %v workers %d: ELBPruned %d vs serial %d",
 						trial, base.Algo, workers, gotStats.ELBPruned, wantStats.ELBPruned)
 				}
-				if wantStats.Pairs > 0 && gotStats.Workers == 0 {
-					t.Errorf("trial %d algo %v workers %d: stats claim serial path ran", trial, base.Algo, workers)
+				if cfg.batched() {
+					if wantStats.Pairs > 0 && gotStats.Workers == 0 {
+						t.Errorf("trial %d algo %v workers %d: stats claim serial path ran", trial, base.Algo, workers)
+					}
+					continue
+				}
+				if gotStats.Workers != 0 {
+					t.Errorf("trial %d algo %v workers %d: stats report %d workers outside the batched builder",
+						trial, base.Algo, workers, gotStats.Workers)
+				}
+				if base.Cache == nil && (gotStats.SPQueries != wantStats.SPQueries || gotStats.SettledNodes != wantStats.SettledNodes) {
+					t.Errorf("trial %d algo %v workers %d: SPQueries/SettledNodes %d/%d vs serial %d/%d",
+						trial, base.Algo, workers, gotStats.SPQueries, gotStats.SettledNodes,
+						wantStats.SPQueries, wantStats.SettledNodes)
 				}
 			}
 		}
 	}
 }
 
-// TestRefineWorkersDeterministicRepeat re-runs the parallel builders
-// and demands run-to-run identical output (goroutine scheduling must
-// not leak into the result).
+// TestRefineWorkersDeterministicRepeat re-runs Workers≠0 configs — the
+// batched builder for Dijkstra, the serial scan for A* — and demands
+// run-to-run identical output (goroutine scheduling must not leak into
+// the result).
 func TestRefineWorkersDeterministicRepeat(t *testing.T) {
 	g, ds := proptest.BenchScenario(t, 100)
 	flows := benchFlows(t, g, ds)
@@ -172,30 +186,27 @@ func benchFlows(t testing.TB, g *roadnet.Graph, ds traj.Dataset) []*FlowCluster 
 	return res.Flows
 }
 
-// BenchmarkPhase3Refine compares the three ε-graph builders at
+// BenchmarkPhase3Refine compares the two ε-graph builders at
 // increasing flow counts: the serial pairwise scan (the paper's
-// Phase 3), the sharded pairwise scan, and the batched one-to-many
-// builder. All three produce identical clusters; the batched builder
-// additionally collapses the query count from ~4·F²/2 point-to-point
-// probes to at most 2F expansions, so it wins even on one core.
+// Phase 3) and the batched one-to-many builder. Both produce identical
+// clusters; the batched builder additionally collapses the query count
+// from ~4·F²/2 point-to-point probes to at most 2F expansions, so it
+// wins even on one core.
 func BenchmarkPhase3Refine(b *testing.B) {
 	for _, objects := range []int{100, 200, 400} {
 		g, ds := proptest.BenchScenario(b, objects)
 		flows := benchFlows(b, g, ds)
-		serial := RefineConfig{Epsilon: 1200, UseELB: true, Bounded: true}
 		for _, mode := range []struct {
-			name  string
-			strat refineStrategy
-			cfg   RefineConfig
+			name string
+			cfg  RefineConfig
 		}{
-			{"serial", stratSerial, serial},
-			{"parallel", stratPairwise, RefineConfig{Epsilon: 1200, UseELB: true, Bounded: true, Workers: -1}},
-			{"batched", stratBatched, RefineConfig{Epsilon: 1200, UseELB: true, Workers: -1}},
+			{"serial", RefineConfig{Epsilon: 1200, UseELB: true, Bounded: true}},
+			{"batched", RefineConfig{Epsilon: 1200, UseELB: true, Workers: -1}},
 		} {
 			b.Run(mode.name+"/flows="+itoa(len(flows)), func(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := refineFlowsWith(context.Background(), g, flows, mode.cfg, mode.strat); err != nil {
+					if _, _, err := RefineFlows(g, flows, mode.cfg); err != nil {
 						b.Fatal(err)
 					}
 				}

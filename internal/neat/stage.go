@@ -20,7 +20,7 @@ import (
 //	Run            = NewPlan(cfg, level, FromDataset,   Exec{})
 //	RunParallel    = NewPlan(cfg, level, FromDataset,   Exec{Workers: w})
 //	RunFragments   = NewPlan(cfg, level, FromFragments, Exec{})
-//	MergeFlows     = NewPlan(cfg, LevelOpt, FromFlows,  Exec{})
+//	RunFlowSet     = a minCard filter + NewPlan(cfg, LevelOpt, FromFlows, Exec{})
 //	stream.Ingest  = a FromDataset flow plan + a FromFlows merge plan
 //
 // Each stage owns its obs span and work annotations, charges its phase
@@ -183,9 +183,9 @@ func (s FlowMergeStage) run(p *Pipeline, st *state) error {
 
 // RefineStage is Phase 3: merge flow clusters whose representative
 // routes end within network distance ε, via the modified Hausdorff
-// predicate and deterministic DBSCAN. The ε-graph construction
-// strategy (serial, batched one-to-many, sharded pairwise) comes from
-// Cfg.Workers; every strategy yields the identical clustering.
+// predicate and deterministic DBSCAN. Cfg.Workers picks the ε-graph
+// builder — the serial scan, or the batched one-to-many builder for the
+// Dijkstra kernel at finite ε; both yield the identical clustering.
 type RefineStage struct {
 	Cfg RefineConfig
 	// FromFlows makes the stage consume the plan input's flow set
@@ -294,7 +294,7 @@ func (p *Pipeline) RunPlan(plan *Plan, in Input) (*Result, error) {
 
 // RunPlanCtx is RunPlan with cooperative cancellation. The context is
 // checked between stages and threaded into Phase 3, whose builders
-// poll it pair-by-pair (expansion-by-expansion on the batched path);
+// poll it row-by-row (expansion-by-expansion on the batched path);
 // Phase 1/2 stages are memory-bound and finish or fail atomically at
 // stage granularity. On cancellation the partial result is discarded
 // and the ctx error is returned — an identical re-run with a live

@@ -179,9 +179,6 @@ func TestMergePlanMetricsSilent(t *testing.T) {
 	if got := reg.Counter("neat_runs_total").Value(); got != 1 {
 		t.Fatalf("neat_runs_total = %d after one run", got)
 	}
-	if _, _, err := p.MergeFlows(res.Flows, nil, cfg.Refine); err != nil {
-		t.Fatal(err)
-	}
 	plan, err := NewPlan(cfg, LevelOpt, FromFlows, Exec{})
 	if err != nil {
 		t.Fatal(err)

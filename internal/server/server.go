@@ -502,7 +502,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 	}
 	if v := q.Get("eps"); v != "" {
 		eps, err := strconv.ParseFloat(v, 64)
-		if err != nil || eps <= 0 {
+		if err != nil || !(eps > 0) { // also rejects NaN
 			writeError(w, http.StatusBadRequest, "bad eps %q", v)
 			return
 		}

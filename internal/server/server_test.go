@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -156,14 +157,16 @@ func TestBadQueries(t *testing.T) {
 	if _, err := c.Clusters(ctx, ClusterQuery{Level: "bogus"}); err == nil {
 		t.Error("bogus level accepted")
 	}
-	// Raw query with bad eps.
-	resp, err := srv.Client().Get(srv.URL + "/v1/clusters?eps=-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == 200 {
-		t.Error("negative eps accepted")
+	// Raw queries with bad eps.
+	for _, eps := range []string{"-3", "NaN"} {
+		resp, err := srv.Client().Get(srv.URL + "/v1/clusters?mincard=1&eps=" + eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("eps=%s: status %d, want 400", eps, resp.StatusCode)
+		}
 	}
 }
 

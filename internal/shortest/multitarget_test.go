@@ -67,14 +67,13 @@ func TestDistancesToEmptyTargets(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentUse exercises a pool of per-worker engines (Clone)
-// under the race detector: clones must not share mutable state, while
-// their shared Stats receiver must stay consistent.
+// TestPoolConcurrentUse exercises a pool of per-worker engines under
+// the race detector: engines must not share mutable state, while their
+// shared Stats receiver must stay consistent.
 func TestPoolConcurrentUse(t *testing.T) {
 	g, at := buildGrid(t, 10, 10)
 	stats := &Stats{}
-	base := New(g, stats)
-	engines := []*Engine{base.Clone(), base.Clone(), base.Clone(), base.Clone()}
+	engines := []*Engine{New(g, stats), New(g, stats), New(g, stats), New(g, stats)}
 	var wg sync.WaitGroup
 	const perWorker = 40
 	for w, e := range engines {

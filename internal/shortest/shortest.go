@@ -50,9 +50,9 @@ func (s *Stats) Snapshot() (queries, settled int64) {
 // epoch-stamped work arrays below are reused across queries, so two
 // in-flight queries on the same Engine would corrupt each other's
 // distance labels. Confine each Engine to a single goroutine; worker
-// pools get per-goroutine engines via Clone (engines share the
-// immutable graph and, optionally, one atomic Stats receiver, so
-// cloning costs only the work arrays — O(nodes) memory, no
+// pools give each goroutine its own engine via New (engines share the
+// immutable graph and, optionally, one atomic Stats receiver, so an
+// extra engine costs only the work arrays — O(nodes) memory, no
 // preprocessing).
 type Engine struct {
 	g     *roadnet.Graph
@@ -95,16 +95,6 @@ func New(g *roadnet.Graph, stats *Stats) *Engine {
 		epochB:  make([]uint32, n),
 		settled: make([]uint32, n),
 	}
-}
-
-// Clone returns a fresh Engine over the same graph, feeding the same
-// Stats receiver. The clone has its own work arrays, so it may be used
-// from a different goroutine than the receiver (each still confined to
-// one goroutine at a time; see the Engine invariant).
-func (e *Engine) Clone() *Engine {
-	c := New(e.g, e.stats)
-	c.faults = e.faults
-	return c
 }
 
 // SetFaults attaches a fault injector: every subsequent query first
