@@ -2,6 +2,7 @@ package neat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/roadnet"
@@ -17,7 +18,9 @@ type BaseCluster struct {
 	// cluster's density (Definition 4).
 	Fragments []traj.TFragment
 
-	trajs map[traj.ID]struct{}
+	// trajs is PTr(S) as an ascending, repeat-free id list. It is never
+	// written once built: flows, detached flows and clones share it.
+	trajs []traj.ID
 }
 
 // Density returns the number of t-fragments in the cluster
@@ -31,19 +34,12 @@ func (b *BaseCluster) Cardinality() int { return len(b.trajs) }
 // Participates reports whether trajectory id has a t-fragment in the
 // cluster.
 func (b *BaseCluster) Participates(id traj.ID) bool {
-	_, ok := b.trajs[id]
+	_, ok := slices.BinarySearch(b.trajs, id)
 	return ok
 }
 
 // ParticipatingTrajectories returns the sorted ids of PTr(S).
-func (b *BaseCluster) ParticipatingTrajectories() []traj.ID {
-	out := make([]traj.ID, 0, len(b.trajs))
-	for id := range b.trajs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (b *BaseCluster) ParticipatingTrajectories() []traj.ID { return slices.Clone(b.trajs) }
 
 // String implements fmt.Stringer.
 func (b *BaseCluster) String() string {
@@ -52,37 +48,46 @@ func (b *BaseCluster) String() string {
 
 // Netflow returns f(Si, Sj): the number of trajectories participating
 // in both clusters (Definition 5).
-func Netflow(a, b *BaseCluster) int {
-	small, large := a.trajs, b.trajs
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	n := 0
-	for id := range small {
-		if _, ok := large[id]; ok {
-			n++
-		}
-	}
-	return n
-}
+func Netflow(a, b *BaseCluster) int { return intersectCount(a.trajs, b.trajs) }
 
 // FormBaseClusters performs Phase 1, step 2: it groups t-fragments by
 // their road segment into base clusters and returns the clusters sorted
 // by density in descending order, so the first element is the
 // dense-core of the set (Definition 4). Ties are broken by segment id
-// for determinism.
+// for determinism. Each cluster holds its fragments in input order, in
+// a slice of its own. Segment ids index a table up to the largest one,
+// so every fragment must lie on a segment of a road network (a
+// non-negative SegID); the pipeline checks this against its graph.
 func FormBaseClusters(frags []traj.TFragment) []*BaseCluster {
-	bySeg := make(map[roadnet.SegID]*BaseCluster)
-	var order []*BaseCluster
+	// Pass 1 counts the fragments per segment; pass 2 copies each
+	// fragment into its cluster's exact-size slice.
+	var counts []int
 	for _, f := range frags {
-		bc, ok := bySeg[f.Seg]
-		if !ok {
-			bc = &BaseCluster{Seg: f.Seg, trajs: make(map[traj.ID]struct{})}
-			bySeg[f.Seg] = bc
-			order = append(order, bc)
+		for int(f.Seg) >= len(counts) {
+			counts = append(counts, 0)
 		}
-		bc.Fragments = append(bc.Fragments, f)
-		bc.trajs[f.Traj] = struct{}{}
+		counts[f.Seg]++
+	}
+	bySeg := make([]*BaseCluster, len(counts))
+	var order []*BaseCluster
+	for seg, n := range counts {
+		if n > 0 {
+			b := &BaseCluster{Seg: roadnet.SegID(seg), Fragments: make([]traj.TFragment, 0, n)}
+			bySeg[seg] = b
+			order = append(order, b)
+		}
+	}
+	for _, f := range frags {
+		b := bySeg[f.Seg]
+		b.Fragments = append(b.Fragments, f)
+	}
+	var ids []traj.ID
+	for _, b := range order {
+		ids = ids[:0]
+		for _, f := range b.Fragments {
+			ids = append(ids, f.Traj)
+		}
+		b.trajs = sortedIDs(ids)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].Density() != order[j].Density() {
@@ -105,4 +110,79 @@ func DenseCore(bs []*BaseCluster) *BaseCluster {
 		}
 	}
 	return best
+}
+
+// Participant lists. PTr(S) and PTr(F) are ascending, repeat-free id
+// lists shared between clusters, flows and their copies, so the
+// functions below never write an input list.
+
+// sortedIDs returns the distinct values of ids in ascending order, in a
+// new exact-size list. It reorders ids.
+func sortedIDs(ids []traj.ID) []traj.ID {
+	slices.Sort(ids)
+	return slices.Clone(slices.Compact(ids))
+}
+
+// intersects reports whether two participant lists share an id.
+func intersects(a, b []traj.ID) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// intersectCount returns |a ∩ b| for two participant lists.
+func intersectCount(a, b []traj.ID) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// union returns the participant list a ∪ b. When one list contains the
+// other it returns the larger; otherwise the result is a new exact-size
+// list.
+func union(a, b []traj.ID) []traj.ID {
+	common := intersectCount(a, b)
+	switch common {
+	case len(b):
+		return a
+	case len(a):
+		return b
+	}
+	out := make([]traj.ID, 0, len(a)+len(b)-common)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

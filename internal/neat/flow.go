@@ -3,7 +3,7 @@ package neat
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -97,7 +97,9 @@ type FlowCluster struct {
 	// the same order.
 	Route roadnet.Route
 
-	trajs             map[traj.ID]struct{}
+	// trajs is PTr(F) as an ascending, repeat-free id list, never
+	// written once built (see BaseCluster.trajs).
+	trajs             []traj.ID
 	frontEnd, backEnd roadnet.NodeID
 	// density is the members' summed t-fragment count, kept by every
 	// constructor so a detached flow (Members == nil) reports it too.
@@ -112,31 +114,16 @@ func (f *FlowCluster) Density() int { return f.density }
 
 // Participates reports whether trajectory id participates in the flow.
 func (f *FlowCluster) Participates(id traj.ID) bool {
-	_, ok := f.trajs[id]
+	_, ok := slices.BinarySearch(f.trajs, id)
 	return ok
 }
 
+// ParticipatingTrajectories returns the sorted ids of PTr(F).
+func (f *FlowCluster) ParticipatingTrajectories() []traj.ID { return slices.Clone(f.trajs) }
+
 // NetflowWith returns f(F, S): the number of trajectories participating
 // in both the flow cluster and the base cluster.
-func (f *FlowCluster) NetflowWith(b *BaseCluster) int {
-	small := f.trajs
-	if len(b.trajs) < len(small) {
-		n := 0
-		for id := range b.trajs {
-			if _, ok := f.trajs[id]; ok {
-				n++
-			}
-		}
-		return n
-	}
-	n := 0
-	for id := range small {
-		if _, ok := b.trajs[id]; ok {
-			n++
-		}
-	}
-	return n
-}
+func (f *FlowCluster) NetflowWith(b *BaseCluster) int { return intersectCount(f.trajs, b.trajs) }
 
 // RouteLength returns the length of the representative route in meters.
 func (f *FlowCluster) RouteLength(g *roadnet.Graph) float64 { return f.Route.Length(g) }
@@ -157,13 +144,10 @@ func newFlow(b *BaseCluster, g *roadnet.Graph) *FlowCluster {
 	f := &FlowCluster{
 		Members:  []*BaseCluster{b},
 		Route:    roadnet.Route{b.Seg},
-		trajs:    make(map[traj.ID]struct{}, len(b.trajs)),
+		trajs:    b.trajs,
 		frontEnd: seg.NI,
 		backEnd:  seg.NJ,
 		density:  b.Density(),
-	}
-	for id := range b.trajs {
-		f.trajs[id] = struct{}{}
 	}
 	return f
 }
@@ -179,17 +163,15 @@ func (f *FlowCluster) absorb(b *BaseCluster, atBack bool, newEnd roadnet.NodeID)
 		f.frontEnd = newEnd
 	}
 	f.density += b.Density()
-	for id := range b.trajs {
-		f.trajs[id] = struct{}{}
-	}
+	f.trajs = union(f.trajs, b.trajs)
 }
 
-// flowBuilder runs the Phase 2 state machine.
+// flowBuilder runs the Phase 2 state machine over the indexed base
+// clusters, marking merged segments as it goes.
 type flowBuilder struct {
-	g      *roadnet.Graph
+	*ClusterSet
 	cfg    FlowConfig
-	bySeg  map[roadnet.SegID]*BaseCluster
-	merged map[roadnet.SegID]bool
+	merged []bool // indexed by SegID
 }
 
 // FormFlowClusters performs Phase 2: it consumes the density-ordered
@@ -204,18 +186,11 @@ func FormFlowClusters(g *roadnet.Graph, base []*BaseCluster, cfg FlowConfig) (fl
 		return nil, 0, err
 	}
 	cfg = cfg.withDefaults()
-	fb := &flowBuilder{
-		g:      g,
-		cfg:    cfg,
-		bySeg:  make(map[roadnet.SegID]*BaseCluster, len(base)),
-		merged: make(map[roadnet.SegID]bool, len(base)),
+	cs, err := NewClusterSet(g, base)
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, b := range base {
-		if _, dup := fb.bySeg[b.Seg]; dup {
-			return nil, 0, fmt.Errorf("neat: duplicate base cluster for segment %d", b.Seg)
-		}
-		fb.bySeg[b.Seg] = b
-	}
+	fb := &flowBuilder{ClusterSet: cs, cfg: cfg, merged: make([]bool, g.NumSegments())}
 	for _, seed := range base {
 		if fb.merged[seed.Seg] {
 			continue
@@ -247,7 +222,7 @@ func (fb *flowBuilder) expand(f *FlowCluster, atBack bool) bool {
 		cur = f.Members[0]
 		nu = f.frontEnd
 	}
-	neigh := fb.neighborhood(cur, nu)
+	neigh := fb.neighborhoodAt(cur, nu, fb.merged)
 	if len(neigh) == 0 {
 		return false
 	}
@@ -259,28 +234,6 @@ func (fb *flowBuilder) expand(f *FlowCluster, atBack bool) bool {
 	fb.merged[chosen.Seg] = true
 	f.absorb(chosen, atBack, fb.g.Segment(chosen.Seg).OtherEnd(nu))
 	return true
-}
-
-// neighborhood computes Nf(S, nu) restricted to unmerged clusters
-// (Definition 6): base clusters on segments adjacent to eS at nu that
-// share at least one participating trajectory with S. The result is
-// ordered by segment id for determinism.
-func (fb *flowBuilder) neighborhood(s *BaseCluster, nu roadnet.NodeID) []*BaseCluster {
-	var out []*BaseCluster
-	for _, sid := range fb.g.AdjacentAt(s.Seg, nu) {
-		if fb.merged[sid] {
-			continue
-		}
-		cand, ok := fb.bySeg[sid]
-		if !ok {
-			continue
-		}
-		if Netflow(s, cand) > 0 {
-			out = append(out, cand)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seg < out[j].Seg })
-	return out
 }
 
 // dominationRework applies the β rule of §III-B2: while some netflow

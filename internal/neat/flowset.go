@@ -31,7 +31,7 @@ type FlowSet struct {
 // Detached returns a copy of f without its member base clusters: the
 // route, endpoints, participating trajectories and density survive, so
 // Phase 3 and every accessor except Members see the same flow. The
-// route and trajectory set are shared; both are immutable once built.
+// route and trajectory list are shared; both are immutable once built.
 func (f *FlowCluster) Detached() *FlowCluster {
 	return &FlowCluster{
 		Route:    f.Route,

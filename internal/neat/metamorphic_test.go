@@ -65,6 +65,9 @@ func routeCanonical(r *neat.Result) string {
 // TestMetamorphicIDPermutation: relabeling trajectory ids by any
 // bijection (and reversing the dataset order) must not change the
 // clustering structure — routes, cardinalities, cluster membership.
+// Neither may shuffling the relabeled fragment list, which leaves no
+// trajectory's fragments contiguous, when a FromFragments plan
+// clusters it.
 func TestMetamorphicIDPermutation(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		g, ds, cfg := metamorphicInstance(t, seed)
@@ -81,6 +84,24 @@ func TestMetamorphicIDPermutation(t *testing.T) {
 		got := routeCanonical(runOpt(t, g, relabeled, cfg))
 		if got != want {
 			t.Errorf("seed %d: clustering changed under id permutation:\n%s\nvs\n%s", seed, want, got)
+		}
+
+		p := neat.NewPipeline(g)
+		frags, err := p.Partition(relabeled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
+		plan, err := neat.NewPlan(cfg, neat.LevelOpt, neat.FromFragments, neat.Exec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.RunPlan(plan, neat.Input{Fragments: frags})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := routeCanonical(res); got != want {
+			t.Errorf("seed %d: clustering changed on shuffled fragments:\n%s\nvs\n%s", seed, want, got)
 		}
 	}
 }

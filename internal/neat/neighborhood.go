@@ -1,34 +1,45 @@
 package neat
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/roadnet"
 )
 
 // ClusterSet is an indexed set of base clusters supporting the
-// neighborhood queries of Definitions 6 and 7. Phase 2 uses an
-// internal equivalent that also tracks merge state; this public form
-// lets applications explore the NEAT model directly (and lets tests
-// check the paper's worked examples).
+// neighborhood queries of Definitions 6 and 7. Phase 2 runs on it,
+// adding its own merge state; the public form lets applications
+// explore the NEAT model directly (and lets tests check the paper's
+// worked examples).
 type ClusterSet struct {
 	g     *roadnet.Graph
-	bySeg map[roadnet.SegID]*BaseCluster
+	bySeg []*BaseCluster // indexed by SegID; nil where no cluster sits
 }
 
-// NewClusterSet indexes the given base clusters over g.
-func NewClusterSet(g *roadnet.Graph, clusters []*BaseCluster) *ClusterSet {
-	cs := &ClusterSet{g: g, bySeg: make(map[roadnet.SegID]*BaseCluster, len(clusters))}
+// NewClusterSet indexes the given base clusters over g. Each cluster
+// must sit on its own segment of g.
+func NewClusterSet(g *roadnet.Graph, clusters []*BaseCluster) (*ClusterSet, error) {
+	cs := &ClusterSet{g: g, bySeg: make([]*BaseCluster, g.NumSegments())}
 	for _, b := range clusters {
+		if b.Seg < 0 || int(b.Seg) >= len(cs.bySeg) {
+			return nil, fmt.Errorf("neat: base cluster on unknown segment %d", b.Seg)
+		}
+		if cs.bySeg[b.Seg] != nil {
+			return nil, fmt.Errorf("neat: duplicate base cluster for segment %d", b.Seg)
+		}
 		cs.bySeg[b.Seg] = b
 	}
-	return cs
+	return cs, nil
 }
 
 // Get returns the base cluster associated with segment s, if any.
 func (cs *ClusterSet) Get(s roadnet.SegID) (*BaseCluster, bool) {
-	b, ok := cs.bySeg[s]
-	return b, ok
+	if s < 0 || int(s) >= len(cs.bySeg) {
+		return nil, false
+	}
+	return cs.bySeg[s], cs.bySeg[s] != nil
 }
 
 // NeighborhoodAt returns Nf(S, nu) (Definition 6): the base clusters on
@@ -37,9 +48,19 @@ func (cs *ClusterSet) Get(s roadnet.SegID) (*BaseCluster, bool) {
 // segment id. A junction that is not an endpoint of S's segment yields
 // nil (the dead-end convention Lnu(e) = ∅).
 func (cs *ClusterSet) NeighborhoodAt(s *BaseCluster, nu roadnet.NodeID) []*BaseCluster {
+	return cs.neighborhoodAt(s, nu, nil)
+}
+
+// neighborhoodAt is the one Definition 6 scan behind NeighborhoodAt and
+// Phase 2: it skips every segment marked in merged (indexed by SegID;
+// nil skips none).
+func (cs *ClusterSet) neighborhoodAt(s *BaseCluster, nu roadnet.NodeID, merged []bool) []*BaseCluster {
 	var out []*BaseCluster
 	for _, sid := range cs.g.AdjacentAt(s.Seg, nu) {
-		if cand, ok := cs.bySeg[sid]; ok && Netflow(s, cand) > 0 {
+		if merged != nil && merged[sid] {
+			continue
+		}
+		if cand := cs.bySeg[sid]; cand != nil && intersects(s.trajs, cand.trajs) {
 			out = append(out, cand)
 		}
 	}
@@ -51,18 +72,10 @@ func (cs *ClusterSet) NeighborhoodAt(s *BaseCluster, nu roadnet.NodeID) []*BaseC
 // endpoints of S's representative segment.
 func (cs *ClusterSet) Neighborhood(s *BaseCluster) []*BaseCluster {
 	seg := cs.g.Segment(s.Seg)
-	ni := cs.NeighborhoodAt(s, seg.NI)
-	nj := cs.NeighborhoodAt(s, seg.NJ)
-	seen := make(map[roadnet.SegID]bool, len(ni)+len(nj))
-	var out []*BaseCluster
-	for _, b := range append(ni, nj...) {
-		if !seen[b.Seg] {
-			seen[b.Seg] = true
-			out = append(out, b)
-		}
-	}
+	out := append(cs.NeighborhoodAt(s, seg.NI), cs.NeighborhoodAt(s, seg.NJ)...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Seg < out[j].Seg })
-	return out
+	// A segment parallel to S's meets it at both ends.
+	return slices.Compact(out)
 }
 
 // MaxFlowNeighbor returns the maxFlow-neighbor of S at nu

@@ -9,7 +9,7 @@ import (
 
 // This file is the reconstruction surface internal/persist decodes
 // into: constructors that rebuild the unexported derived state
-// (participating-trajectory sets, flow endpoints, ε-graph internals)
+// (participating-trajectory lists, flow endpoints, ε-graph internals)
 // from the serializable fields, plus deep-copy helpers so snapshots
 // handed to callers can never alias the clusterer's live state. The
 // invariant throughout: a Restore* value is indistinguishable from one
@@ -17,20 +17,20 @@ import (
 // internal/stream depend on it.
 
 // RestoreBaseCluster rebuilds a base cluster from its serialized
-// fields. The participating-trajectory set is derived from the
+// fields. The participating-trajectory list is derived from the
 // fragments, exactly as FormBaseClusters derives it.
 func RestoreBaseCluster(seg roadnet.SegID, frags []traj.TFragment) *BaseCluster {
-	b := &BaseCluster{Seg: seg, Fragments: frags, trajs: make(map[traj.ID]struct{}, len(frags))}
-	for _, f := range frags {
-		b.trajs[f.Traj] = struct{}{}
+	ids := make([]traj.ID, len(frags))
+	for i, f := range frags {
+		ids[i] = f.Traj
 	}
-	return b
+	return &BaseCluster{Seg: seg, Fragments: frags, trajs: sortedIDs(ids)}
 }
 
 // RestoreFlow rebuilds a flow cluster from its serialized fields:
 // members in route order, the representative route, and the two free
-// endpoint junctions. The trajectory set is the union of the members'
-// sets (the invariant newFlow/absorb maintain). It validates the
+// endpoint junctions. The trajectory list is the union of the members'
+// lists (the invariant newFlow/absorb maintain). It validates the
 // route/member correspondence so a corrupt checkpoint cannot smuggle
 // in a flow the pipeline could never have built.
 func RestoreFlow(members []*BaseCluster, route roadnet.Route, front, back roadnet.NodeID) (*FlowCluster, error) {
@@ -43,7 +43,6 @@ func RestoreFlow(members []*BaseCluster, route roadnet.Route, front, back roadne
 	f := &FlowCluster{
 		Members:  members,
 		Route:    route,
-		trajs:    make(map[traj.ID]struct{}),
 		frontEnd: front,
 		backEnd:  back,
 	}
@@ -55,9 +54,7 @@ func RestoreFlow(members []*BaseCluster, route roadnet.Route, front, back roadne
 			return nil, fmt.Errorf("neat: restore flow: member %d on segment %d but route says %d", i, m.Seg, route[i])
 		}
 		f.density += m.Density()
-		for id := range m.trajs {
-			f.trajs[id] = struct{}{}
-		}
+		f.trajs = union(f.trajs, m.trajs)
 	}
 	return f, nil
 }
@@ -113,7 +110,7 @@ func CacheScope(g *roadnet.Graph, cfg RefineConfig) string {
 // Clone deep-copies the cluster: the flow list and every flow down to
 // the fragment point slices are fresh allocations, so mutating the
 // clone can never corrupt pipeline or clusterer state. (The
-// participating-trajectory sets are shared — they are immutable after
+// participating-trajectory lists are shared — they are immutable after
 // construction and identity does not leak through any accessor.)
 func (c *TrajectoryCluster) Clone() *TrajectoryCluster {
 	if c == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -179,15 +180,15 @@ type TrajectoryCluster struct {
 }
 
 // Cardinality returns the number of distinct trajectories participating
-// in the cluster.
+// in the cluster. It sorts the concatenated flow lists once, so the cost
+// is O(n log n) in their total length whatever the flow count.
 func (c *TrajectoryCluster) Cardinality() int {
-	seen := make(map[traj.ID]struct{})
+	var ids []traj.ID
 	for _, f := range c.Flows {
-		for id := range f.trajs {
-			seen[id] = struct{}{}
-		}
+		ids = append(ids, f.trajs...)
 	}
-	return len(seen)
+	slices.Sort(ids)
+	return len(slices.Compact(ids))
 }
 
 // Density returns the total t-fragment count of the cluster.

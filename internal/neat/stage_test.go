@@ -2,7 +2,6 @@ package neat
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -107,12 +106,7 @@ func renderResult(r *Result) string {
 	index := make(map[*FlowCluster]int, len(r.Flows))
 	for i, f := range r.Flows {
 		index[f] = i
-		ids := make([]traj.ID, 0, len(f.trajs))
-		for id := range f.trajs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		fmt.Fprintf(&b, "flow %d route=%v trajs=%v\n", i, []roadnet.SegID(f.Route), ids)
+		fmt.Fprintf(&b, "flow %d route=%v trajs=%v\n", i, []roadnet.SegID(f.Route), f.ParticipatingTrajectories())
 	}
 	for ci, c := range r.Clusters {
 		idxs := make([]int, len(c.Flows))

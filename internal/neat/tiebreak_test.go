@@ -68,7 +68,7 @@ func TestFlowClusterNetflowTieBreak(t *testing.T) {
 		t.Fatalf("seed = %v, want S1", bs[0])
 	}
 	// Sanity: the SF inputs tie. f(S1,A) = |{T1,T5}| = 2 = f(S1,B).
-	cs := NewClusterSet(g, bs)
+	cs := mustClusterSet(t, g, bs)
 	S1c, _ := cs.Get(s1)
 	Ac, _ := cs.Get(sA)
 	Bc, _ := cs.Get(sB)

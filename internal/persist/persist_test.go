@@ -441,6 +441,38 @@ func testFlow(segs ...roadnet.SegID) *neat.FlowCluster {
 	return f
 }
 
+// pipelineFlows runs Phases 1–2 over a three-segment path whose
+// fragments arrive with out-of-order, non-contiguous trajectory ids.
+func pipelineFlows(t *testing.T) []*neat.FlowCluster {
+	t.Helper()
+	var b roadnet.Builder
+	for x := 0; x < 4; x++ {
+		b.AddJunction(geo.Point{X: float64(1000 * x)})
+	}
+	for n := roadnet.NodeID(0); n < 3; n++ {
+		if _, err := b.AddSegment(n, n+1, roadnet.SegmentOpts{SpeedLimit: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frags []traj.TFragment
+	for i, id := range []traj.ID{42, 7, 19, 7, 3, 42, 19, 11} {
+		sg := roadnet.SegID(i % 3)
+		frags = append(frags, traj.TFragment{
+			Traj: id, Seg: sg, Index: i,
+			Points: []traj.Location{{Seg: sg, Pt: geo.Point{X: float64(i)}, Junction: roadnet.NoNode}},
+		})
+	}
+	flows, _, err := neat.FormFlowClusters(g, neat.FormBaseClusters(frags), neat.FlowConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flows
+}
+
 func TestStreamStateCodecIdempotent(t *testing.T) {
 	st := StreamState{
 		Batch: 5,
@@ -463,6 +495,31 @@ func TestStreamStateCodecIdempotent(t *testing.T) {
 	}
 	if got.Batch != 5 || len(got.Entries) != 2 || got.Entries[0].Flow.Cardinality() != 2 {
 		t.Fatalf("decoded state diverged: %+v", got)
+	}
+
+	// Restoring rebuilds the participant lists the pipeline built.
+	flows := pipelineFlows(t)
+	built := StreamState{Batch: 1, Adjacency: make([][]int, len(flows))}
+	for _, f := range flows {
+		built.Entries = append(built.Entries, StreamEntry{Batch: 0, Flow: f})
+	}
+	restored, err := DecodeStreamState(EncodeStreamState(built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restored.Entries) != len(flows) {
+		t.Fatalf("restored %d flows, built %d", len(restored.Entries), len(flows))
+	}
+	for i, e := range restored.Entries {
+		want, got := flows[i], e.Flow
+		if !reflect.DeepEqual(got.ParticipatingTrajectories(), want.ParticipatingTrajectories()) {
+			t.Errorf("flow %d: restored participants %v, built %v", i, got.ParticipatingTrajectories(), want.ParticipatingTrajectories())
+		}
+		for k, m := range got.Members {
+			if !reflect.DeepEqual(m.ParticipatingTrajectories(), want.Members[k].ParticipatingTrajectories()) {
+				t.Errorf("flow %d member %d: restored participants %v, built %v", i, k, m.ParticipatingTrajectories(), want.Members[k].ParticipatingTrajectories())
+			}
+		}
 	}
 
 	// Structural validation: out-of-range adjacency rejects.
