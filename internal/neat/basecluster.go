@@ -1,9 +1,9 @@
 package neat
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -14,18 +14,23 @@ import (
 type BaseCluster struct {
 	// Seg is the representative road segment.
 	Seg roadnet.SegID
-	// Fragments are the member t-fragments; their count is the
-	// cluster's density (Definition 4).
+	// Fragments are the member t-fragments. A cluster ClusterSet.Extend
+	// builds holds none: its density and participant list describe the
+	// fragments folded into it.
 	Fragments []traj.TFragment
 
 	// trajs is PTr(S) as an ascending, repeat-free id list. It is never
-	// written once built: flows, detached flows and clones share it.
+	// written once built: flows, detached flows, clones and extended
+	// cluster sets share it.
 	trajs []traj.ID
+	// density is the cluster's t-fragment count, kept by every
+	// constructor so a cluster without fragments reports it too.
+	density int
 }
 
 // Density returns the number of t-fragments in the cluster
 // (Definition 4).
-func (b *BaseCluster) Density() int { return len(b.Fragments) }
+func (b *BaseCluster) Density() int { return b.density }
 
 // Cardinality returns the trajectory cardinality |PTr(S)|: the number
 // of distinct trajectories participating in the cluster (Definition 3).
@@ -72,7 +77,7 @@ func FormBaseClusters(frags []traj.TFragment) []*BaseCluster {
 	var order []*BaseCluster
 	for seg, n := range counts {
 		if n > 0 {
-			b := &BaseCluster{Seg: roadnet.SegID(seg), Fragments: make([]traj.TFragment, 0, n)}
+			b := &BaseCluster{Seg: roadnet.SegID(seg), Fragments: make([]traj.TFragment, 0, n), density: n}
 			bySeg[seg] = b
 			order = append(order, b)
 		}
@@ -89,13 +94,17 @@ func FormBaseClusters(frags []traj.TFragment) []*BaseCluster {
 		}
 		b.trajs = sortedIDs(ids)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Density() != order[j].Density() {
-			return order[i].Density() > order[j].Density()
-		}
-		return order[i].Seg < order[j].Seg
-	})
+	slices.SortFunc(order, byDensity)
 	return order
+}
+
+// byDensity orders base clusters by density descending, then segment id
+// ascending: the order FormBaseClusters returns and Phase 2 seeds in.
+func byDensity(a, b *BaseCluster) int {
+	if c := cmp.Compare(b.density, a.density); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seg, b.Seg)
 }
 
 // DenseCore returns the base cluster with the highest density among bs,
@@ -104,8 +113,7 @@ func FormBaseClusters(frags []traj.TFragment) []*BaseCluster {
 func DenseCore(bs []*BaseCluster) *BaseCluster {
 	var best *BaseCluster
 	for _, b := range bs {
-		if best == nil || b.Density() > best.Density() ||
-			(b.Density() == best.Density() && b.Seg < best.Seg) {
+		if best == nil || byDensity(b, best) < 0 {
 			best = b
 		}
 	}

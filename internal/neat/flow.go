@@ -185,17 +185,23 @@ func FormFlowClusters(g *roadnet.Graph, base []*BaseCluster, cfg FlowConfig) (fl
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, err
 	}
-	cfg = cfg.withDefaults()
 	cs, err := NewClusterSet(g, base)
 	if err != nil {
 		return nil, 0, err
 	}
-	fb := &flowBuilder{ClusterSet: cs, cfg: cfg, merged: make([]bool, g.NumSegments())}
-	for _, seed := range base {
+	flows, filtered = cs.formFlows(base, cfg.withDefaults())
+	return flows, filtered, nil
+}
+
+// formFlows is Phase 2 over the set with a validated, defaulted cfg:
+// each round seeds a flow from the next unmerged cluster of seeds.
+func (cs *ClusterSet) formFlows(seeds []*BaseCluster, cfg FlowConfig) (flows []*FlowCluster, filtered int) {
+	fb := &flowBuilder{ClusterSet: cs, cfg: cfg, merged: make([]bool, cs.g.NumSegments())}
+	for _, seed := range seeds {
 		if fb.merged[seed.Seg] {
 			continue
 		}
-		f := newFlow(seed, g)
+		f := newFlow(seed, cs.g)
 		fb.merged[seed.Seg] = true
 		for fb.expand(f, true) {
 		}
@@ -207,7 +213,7 @@ func FormFlowClusters(g *roadnet.Graph, base []*BaseCluster, cfg FlowConfig) (fl
 			filtered++
 		}
 	}
-	return flows, filtered, nil
+	return flows, filtered
 }
 
 // expand attempts to grow the flow by one base cluster at the back or

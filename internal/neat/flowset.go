@@ -3,6 +3,7 @@ package neat
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/traj"
 )
@@ -57,29 +58,61 @@ func filterFlows(flows []*FlowCluster, minCard int) (kept []*FlowCluster, filter
 	return kept, filtered
 }
 
-// BuildFlowSet runs Phases 1–2 over frags with cfg's flow settings,
-// minCard forced to 0, and detaches the flows. It records the
-// fragments and the phase 1 and 2 latencies, but is not a run: the
-// reads answered from the set are (see RunFlowSet).
-func (p *Pipeline) BuildFlowSet(ctx context.Context, frags []traj.TFragment, cfg Config) (*FlowSet, error) {
+// BuildFlowSet runs Phases 1–2 of a read after an ingest. Phase 1 folds
+// frags, the fragments added since kept was built, into kept
+// (ClusterSet.Extend); a nil kept is the empty set. Phase 2 runs over
+// the folded set with cfg's flow settings, minCard forced to 0. It
+// returns the detached flows and the folded set, which the caller keeps
+// for its next build; kept itself is left as it was. The flows equal
+// those of a FromFragments flow plan over every fragment folded so far.
+// It records that fragment count and the phase 1 and 2 latencies, but
+// is not a run: the reads answered from the set are (see RunFlowSet).
+func (p *Pipeline) BuildFlowSet(ctx context.Context, kept *ClusterSet, frags []traj.TFragment, cfg Config) (*FlowSet, *ClusterSet, error) {
 	cfg.Flow.MinCard = 0
-	plan, err := NewPlan(cfg, LevelFlow, FromFragments, Exec{})
-	if err != nil {
-		return nil, err
+	if err := cfg.Flow.Validate(); err != nil {
+		return nil, nil, err
 	}
-	res, err := p.execute(ctx, plan, Input{Fragments: frags})
-	if err != nil {
-		return nil, err
+	if kept == nil {
+		kept = &ClusterSet{g: p.g, bySeg: make([]*BaseCluster, p.g.NumSegments())}
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	res := &Result{Level: LevelFlow}
+	res.Trace = p.newRunSpan("neat.run", LevelFlow)
+	sp := res.Trace.StartChild("phase1.base_clusters")
+	start := time.Now()
+	cs, err := kept.Extend(frags)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Timing.Phase1 = time.Since(start)
+	for _, b := range cs.order {
+		res.NumFragments += b.density
+	}
+	sp.Annotate("fragments", len(frags))
+	sp.Annotate("base_clusters", len(cs.order))
+	sp.End()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	sp = res.Trace.StartChild("phase2.flow_clusters")
+	start = time.Now()
+	flows, _ := cs.formFlows(cs.order, cfg.Flow.withDefaults())
+	res.Timing.Phase2 = time.Since(start)
+	sp.Annotate("merge_rounds", len(flows))
+	sp.Annotate("flows", len(flows))
+	sp.End()
+	res.Trace.End()
 	p.recordPhases12(res)
 	fs := &FlowSet{
-		BaseClusters: len(res.BaseClusters),
-		Flows:        make([]*FlowCluster, len(res.Flows)),
+		BaseClusters: len(cs.order),
+		Flows:        make([]*FlowCluster, len(flows)),
 	}
-	for i, f := range res.Flows {
+	for i, f := range flows {
 		fs.Flows[i] = f.Detached()
 	}
-	return fs, nil
+	return fs, cs, nil
 }
 
 // RunFlowSet answers one read from a flow set: past base level it

@@ -139,7 +139,9 @@ func TestPropertyDetachedFlows(t *testing.T) {
 
 // TestFlowSetMatchesFragmentPlan pins the two-tier read against the
 // one-shot plan: for every level and minCard, one flow set answers
-// exactly what a FromFragments run of the same config does.
+// exactly what a FromFragments run of the same config does. The set is
+// built in two folds, split at a seed-dependent point: at seed 1 the
+// first fold is empty and the second folds every fragment.
 func TestFlowSetMatchesFragmentPlan(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 8; seed++ {
@@ -150,7 +152,12 @@ func TestFlowSetMatchesFragmentPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}, Refine: RefineConfig{Epsilon: 900, UseELB: true, Bounded: true}}
-		fs, err := p.BuildFlowSet(ctx, frags, cfg)
+		split := len(frags) * int(seed-1) / 8
+		_, kept, err := p.BuildFlowSet(ctx, nil, frags[:split], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, _, err := p.BuildFlowSet(ctx, kept, frags[split:], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +204,7 @@ func TestFlowSetMetrics(t *testing.T) {
 	}
 	ctx := context.Background()
 	cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly, MinCard: 3}, Refine: RefineConfig{Epsilon: 2000, UseELB: true, Bounded: true}}
-	fs, err := p.BuildFlowSet(ctx, frags, cfg)
+	fs, _, err := p.BuildFlowSet(ctx, nil, frags, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

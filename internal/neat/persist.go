@@ -24,7 +24,7 @@ func RestoreBaseCluster(seg roadnet.SegID, frags []traj.TFragment) *BaseCluster 
 	for i, f := range frags {
 		ids[i] = f.Traj
 	}
-	return &BaseCluster{Seg: seg, Fragments: frags, trajs: sortedIDs(ids)}
+	return &BaseCluster{Seg: seg, Fragments: frags, trajs: sortedIDs(ids), density: len(frags)}
 }
 
 // RestoreFlow rebuilds a flow cluster from its serialized fields:
@@ -151,6 +151,7 @@ func (b *BaseCluster) Clone() *BaseCluster {
 		Seg:       b.Seg,
 		Fragments: make([]traj.TFragment, len(b.Fragments)),
 		trajs:     b.trajs,
+		density:   b.density,
 	}
 	for i, fr := range b.Fragments {
 		fr.Points = append([]traj.Location(nil), fr.Points...)

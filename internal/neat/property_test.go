@@ -1,9 +1,11 @@
 package neat
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/proptest"
@@ -71,10 +73,109 @@ func checkBaseCluster(t *testing.T, what string, b *BaseCluster, want []traj.TFr
 	checkParticipants(t, what, b.ParticipatingTrajectories(), distinctIDs(want), b.Cardinality(), b.Participates)
 }
 
+// renderBase renders base clusters in order: segment, density and
+// participant list.
+func renderBase(bs []*BaseCluster) string {
+	var b strings.Builder
+	for _, c := range bs {
+		fmt.Fprintf(&b, "seg=%d d=%d ptr=%v\n", c.Seg, c.Density(), c.ParticipatingTrajectories())
+	}
+	return b.String()
+}
+
+// renderSet renders a cluster set's order and its index, so that two
+// renders differ if anything reachable from the set was written.
+func renderSet(cs *ClusterSet) string {
+	var b strings.Builder
+	b.WriteString(renderBase(cs.order))
+	for seg, c := range cs.bySeg {
+		if c != nil {
+			fmt.Fprintf(&b, "index %d: %s frags=%d\n", seg, renderBase([]*BaseCluster{c}), len(c.Fragments))
+		}
+	}
+	return b.String()
+}
+
+// checkFolds folds frags into an empty ClusterSet in random batches,
+// then folds a batch whose ids all sort below the folded ones, a batch
+// on folded segments only (half its fragments repeat a folded one, half
+// carry new ids) and an empty batch. After each fold the set must equal
+// FormBaseClusters over everything folded so far, hold no fragments, and
+// leave every earlier set unchanged. A batch with an off-graph fragment
+// must fail and leave the set unchanged.
+func checkFolds(t *testing.T, what string, g *roadnet.Graph, rng *rand.Rand, frags []traj.TFragment) {
+	t.Helper()
+	var batches [][]traj.TFragment
+	for rest := frags; len(rest) > 0; {
+		n := 1 + rng.Intn(len(rest))
+		batches = append(batches, rest[:n])
+		rest = rest[n:]
+	}
+	ids := distinctIDs(frags)
+	var below, existing []traj.TFragment
+	for i := traj.ID(0); i < 3; i++ {
+		f := frags[rng.Intn(len(frags))]
+		f.Traj = ids[0] - 1 - i
+		below = append(below, f)
+		f = frags[rng.Intn(len(frags))]
+		existing = append(existing, f)
+		f.Traj = ids[len(ids)-1] + 1 + i
+		existing = append(existing, f)
+	}
+	batches = append(batches, below, existing, nil)
+
+	cs, err := NewClusterSet(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, renders := []*ClusterSet{cs}, []string{renderSet(cs)}
+	var folded []traj.TFragment
+	for i, batch := range batches {
+		for _, seg := range []roadnet.SegID{-1, roadnet.SegID(g.NumSegments())} {
+			bad := append(slices.Clone(batch), traj.TFragment{Traj: ids[0], Seg: seg})
+			if _, err := cs.Extend(bad); err == nil {
+				t.Fatalf("%s fold %d: fragment on segment %d folded without error", what, i, seg)
+			}
+			if renderSet(cs) != renders[i] {
+				t.Fatalf("%s fold %d: a failed fold changed the set", what, i)
+			}
+		}
+		next, err := cs.Extend(batch)
+		if err != nil {
+			t.Fatalf("%s fold %d: %v", what, i, err)
+		}
+		folded = append(folded, batch...)
+		if got, want := renderBase(next.order), renderBase(FormBaseClusters(folded)); got != want {
+			t.Fatalf("%s fold %d: set\n%s\nwant FormBaseClusters over everything folded:\n%s", what, i, got, want)
+		}
+		indexed := 0
+		for seg, c := range next.bySeg {
+			if c == nil {
+				continue
+			}
+			indexed++
+			if c.Seg != roadnet.SegID(seg) || c.Fragments != nil {
+				t.Fatalf("%s fold %d: index %d holds cluster %v with %d fragments", what, i, seg, c, len(c.Fragments))
+			}
+		}
+		if indexed != len(next.order) {
+			t.Fatalf("%s fold %d: %d clusters indexed, %d ordered", what, i, indexed, len(next.order))
+		}
+		for j, prev := range sets {
+			if renderSet(prev) != renders[j] {
+				t.Fatalf("%s fold %d: set %d changed", what, i, j)
+			}
+		}
+		cs = next
+		sets, renders = append(sets, next), append(renders, renderSet(next))
+	}
+}
+
 func TestPropertyBaseClusterInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	split := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 40; trial++ {
-		_, frags := proptest.RandomScenario(t, rng)
+		g, frags := proptest.RandomScenario(t, rng)
 		bs := FormBaseClusters(frags)
 		total := 0
 		seen := map[roadnet.SegID]bool{}
@@ -99,14 +200,21 @@ func TestPropertyBaseClusterInvariants(t *testing.T) {
 		}
 		// Each cluster holds its segment's fragments in input order, and
 		// its participant list is their distinct trajectory ids. The
-		// shuffled input spreads every trajectory's fragments out of
-		// contiguous runs and out of id order.
+		// input numbers trajectories in ascending order; the shuffled
+		// input spreads every trajectory's fragments out of contiguous
+		// runs and out of id order, and the permuted one relabels the
+		// trajectories with a permutation of their ids.
 		shuffled := slices.Clone(frags)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		perm := split.Perm(len(distinctIDs(frags)))
+		permuted := slices.Clone(frags)
+		for i := range permuted {
+			permuted[i].Traj = traj.ID(perm[permuted[i].Traj])
+		}
 		for _, tc := range []struct {
 			name string
 			in   []traj.TFragment
-		}{{"input", frags}, {"shuffled", shuffled}} {
+		}{{"input", frags}, {"shuffled", shuffled}, {"permuted", permuted}} {
 			name, in := tc.name, tc.in
 			bySeg := map[roadnet.SegID][]traj.TFragment{}
 			for _, f := range in {
@@ -122,6 +230,7 @@ func TestPropertyBaseClusterInvariants(t *testing.T) {
 				}
 				checkBaseCluster(t, name, b, bySeg[b.Seg])
 			}
+			checkFolds(t, fmt.Sprintf("trial %d %s", trial, name), g, split, in)
 		}
 	}
 }

@@ -140,12 +140,8 @@ func (s BaseClusterStage) Name() string { return "base_clusters" }
 
 func (s BaseClusterStage) run(p *Pipeline, st *state) error {
 	if st.frags == nil {
-		// Caller-supplied fragments skip the partitioner, and base
-		// clusters index segment ids, so check they lie on the graph.
-		for _, f := range st.in.Fragments {
-			if f.Seg < 0 || int(f.Seg) >= p.g.NumSegments() {
-				return fmt.Errorf("neat: fragment of trajectory %d on unknown segment %d", f.Traj, f.Seg)
-			}
+		if err := checkOnGraph(p.g, st.in.Fragments); err != nil {
+			return err
 		}
 		st.frags = st.in.Fragments
 	}

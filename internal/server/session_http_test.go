@@ -117,6 +117,12 @@ func TestSessionsAdminAPI(t *testing.T) {
 	if _, err := c.CreateSession(ctx, CreateSessionRequest{Name: "has space"}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("invalid name: %v, want 400", err)
 	}
+	for _, scale := range []float64{1.5, 1e6, -0.5} {
+		if _, err := c.CreateSession(ctx, CreateSessionRequest{Name: "huge", Region: "SJ", Scale: scale}); err == nil ||
+			!strings.Contains(err.Error(), "bad scale") || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("scale %g: %v, want 400 bad scale", scale, err)
+		}
+	}
 
 	ls, err := c.Sessions(ctx)
 	if err != nil {

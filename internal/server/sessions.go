@@ -48,8 +48,10 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "unknown region %q (have %v)", req.Region, names)
 			return
 		}
-		if req.Scale < 0 {
-			writeError(w, http.StatusBadRequest, "bad scale %g", req.Scale)
+		// Generating a network costs memory and time linear in the
+		// scale, so a scale past the full preset is refused.
+		if !(req.Scale >= 0 && req.Scale <= 1) {
+			writeError(w, http.StatusBadRequest, "bad scale %g (want 0 < scale <= 1, or 0 for the full preset)", req.Scale)
 			return
 		}
 		if req.Scale > 0 {

@@ -144,7 +144,8 @@ type CreateSessionRequest struct {
 	Name string `json:"name"`
 	// Region picks the mapgen preset ("ATL" when empty).
 	Region string `json:"region,omitempty"`
-	// Scale scales the preset's junction count (0 keeps it as-is).
+	// Scale scales the preset's junction count and lies in (0, 1]; 0
+	// keeps the full preset. Any other value is rejected with 400.
 	Scale float64 `json:"scale,omitempty"`
 	// Fault, when set, attaches a session-private deterministic fault
 	// injector (chaos and CI smoke testing): the session fails per the

@@ -161,6 +161,7 @@ type Session struct {
 	fragments  []traj.TFragment // live backing array; published views are prefixes
 	trajs      []traj.Trajectory
 	version    uint64
+	epoch      uint64 // bumped whenever fragments is rebuilt (healFromWAL)
 	closed     bool
 	recovering bool
 	store      *persist.Store
@@ -176,6 +177,12 @@ type Session struct {
 	// wait on context expiry).
 	pipeSem  chan struct{}
 	pipeline *neat.Pipeline
+	// kept is the base-cluster set the pipeline built last, from the
+	// first keptFrags fragments of a snapshot of epoch keptEpoch (see
+	// Flows). Only the holder of pipeSem reads or replaces it.
+	kept      *neat.ClusterSet
+	keptEpoch uint64
+	keptFrags int
 
 	// guard is the session's isolation layer: rate limits, AIMD
 	// admission (the successor of the static inflight semaphore),
@@ -323,11 +330,28 @@ func (s *Session) Quarantined() bool { return s.guard.Breaker().Quarantined() }
 // minCard is ignored), computing it on the session's single-flight
 // pipeline at most once per snapshot (see Snapshot.Flows). Publication
 // of a new snapshot is the only invalidation.
+//
+// The computation folds into the kept base-cluster set only the
+// fragments sn added since that set was built, then keeps the result.
+// Within an epoch every published snapshot's fragments extend the
+// previous one's, so the kept set is folded forward when it was built
+// from this epoch and from no more fragments than sn holds; otherwise
+// (sn is older than the kept set, or a heal rebuilt the fragments
+// since) the fold starts from the empty set.
 func (s *Session) Flows(ctx context.Context, sn *Snapshot, cfg neat.Config) (*neat.FlowSet, error) {
 	return sn.Flows(ctx, func(ctx context.Context) (*neat.FlowSet, error) {
 		var fs *neat.FlowSet
 		err := s.withPipeline(ctx, func(p *neat.Pipeline) (err error) {
-			fs, err = p.BuildFlowSet(ctx, sn.Fragments, cfg)
+			base, frags := s.kept, sn.Fragments
+			if s.keptEpoch == sn.epoch && s.keptFrags <= len(frags) {
+				frags = frags[s.keptFrags:]
+			} else {
+				base = nil
+			}
+			var next *neat.ClusterSet
+			if fs, next, err = p.BuildFlowSet(ctx, base, frags, cfg); err == nil {
+				s.kept, s.keptEpoch, s.keptFrags = next, sn.epoch, len(sn.Fragments)
+			}
 			return err
 		})
 		return fs, err
@@ -561,6 +585,7 @@ func (s *Session) publishLocked() {
 		Version:   s.version,
 		Fragments: s.fragments[:len(s.fragments):len(s.fragments)],
 		Trajs:     s.trajs[:len(s.trajs):len(s.trajs)],
+		epoch:     s.epoch,
 	})
 }
 
@@ -696,6 +721,8 @@ func (s *Session) recoverLocked(reload bool) error {
 // because every acknowledged batch is in the log (and only
 // acknowledged batches are — failed appends roll back before the ack),
 // the rebuilt state is byte-identical to a session that never faulted.
+// Each rebuild starts a new epoch, so the pipeline's kept base-cluster
+// set, built from the discarded fragments, is never folded forward.
 // In-memory sessions have no log to heal from and keep their state. A
 // failed rebuild restores the pre-heal state rather than losing
 // acknowledged data, and leaves the error in the health block.
@@ -710,9 +737,13 @@ func (s *Session) healFromWAL() {
 	s.seenIDs = make(map[traj.ID]struct{})
 	s.fragments, s.trajs = nil, nil
 	s.version, s.lastCkpt = 0, 0
+	s.epoch++
 	if err := s.recoverLocked(true); err != nil {
 		s.seenIDs, s.fragments, s.trajs = oldSeen, oldFrags, oldTrajs
 		s.version, s.lastCkpt = oldVersion, oldCkpt
+		// The replay may have published a partial rebuild: its
+		// fragments are not a prefix of the restored ones.
+		s.epoch++
 		s.publishLocked()
 		s.setIngestHealth(fmt.Errorf("heal replay failed, serving pre-heal state: %v", err))
 	}

@@ -46,6 +46,9 @@ type Snapshot struct {
 	Fragments []traj.TFragment
 	// Trajs is every trajectory ingested, in commit order.
 	Trajs []traj.Trajectory
+	// epoch is the session's epoch at publication: within one epoch each
+	// snapshot's Fragments is a prefix of every later one's.
+	epoch uint64
 
 	// Lazily built spatio-temporal index over Trajs; built at most once
 	// per snapshot, shared by every reader of this snapshot.
