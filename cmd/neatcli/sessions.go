@@ -15,8 +15,8 @@ import (
 // its /v1/sessions API: the default action lists them; -create
 // provisions one from a mapgen region preset and -delete removes one.
 // -limits shows a session's guard limits, and with any of the
-// override flags (-qps, -burst, -points-per-sec, -point-burst,
-// -max-concurrency, -min-concurrency) replaces them. Data commands
+// override flags (-qps, -burst, -points-per-sec, -point-burst)
+// replaces them. Data commands
 // target a tenant by appending ?session=<name> to the server routes
 // (or via the client's Session method).
 func cmdSessions(args []string) error {
@@ -31,8 +31,6 @@ func cmdSessions(args []string) error {
 	burst := fs.Int("burst", 0, "with -limits: ingest burst (0 = derived from -qps)")
 	pps := fs.Float64("points-per-sec", 0, "with -limits: trajectory points/sec (0 = unlimited)")
 	ptBurst := fs.Int("point-burst", 0, "with -limits: point burst (0 = derived from -points-per-sec)")
-	maxConc := fs.Int("max-concurrency", 0, "with -limits: adaptive-window ceiling (0 = server default)")
-	minConc := fs.Int("min-concurrency", 0, "with -limits: adaptive-window floor (0 = 1)")
 	timeout := fs.Duration("timeout", 30*time.Second, "request timeout")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,7 +69,7 @@ func cmdSessions(args []string) error {
 		setting := false
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "qps", "burst", "points-per-sec", "point-burst", "max-concurrency", "min-concurrency":
+			case "qps", "burst", "points-per-sec", "point-burst":
 				setting = true
 			}
 		})
@@ -81,7 +79,6 @@ func cmdSessions(args []string) error {
 			lim, err = c.SetSessionLimits(ctx, server.SessionLimitsDTO{
 				Session: *limits, IngestQPS: *qps, IngestBurst: *burst,
 				PointsPerSec: *pps, PointBurst: *ptBurst,
-				MaxConcurrency: *maxConc, MinConcurrency: *minConc,
 			})
 		} else {
 			lim, err = c.SessionLimits(ctx, *limits)
@@ -89,9 +86,9 @@ func cmdSessions(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("session %q limits: ingest %s req/s (burst %s), %s points/s (burst %s), concurrency %s\n",
+		fmt.Printf("session %q limits: ingest %s req/s (burst %s), %s points/s (burst %s)\n",
 			lim.Session, orUnlimited(lim.IngestQPS), orUnlimited(float64(lim.IngestBurst)),
-			orUnlimited(lim.PointsPerSec), orUnlimited(float64(lim.PointBurst)), concRange(lim))
+			orUnlimited(lim.PointsPerSec), orUnlimited(float64(lim.PointBurst)))
 		return nil
 	default:
 		ls, err := c.Sessions(ctx)
@@ -119,16 +116,4 @@ func orUnlimited(v float64) string {
 		return "unlimited"
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// concRange renders the adaptive-concurrency bounds.
-func concRange(lim server.SessionLimitsDTO) string {
-	if lim.MaxConcurrency <= 0 {
-		return "server default"
-	}
-	min := lim.MinConcurrency
-	if min <= 0 {
-		min = 1
-	}
-	return fmt.Sprintf("%d..%d (adaptive)", min, lim.MaxConcurrency)
 }

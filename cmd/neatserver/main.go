@@ -166,7 +166,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *dataDir != "" {
 		fmt.Printf("neatserver durable in %s (fsync=%s): recovered %d batches\n",
-			*dataDir, *fsyncPol, srv.RecoveredBatches())
+			*dataDir, *fsyncPol, srv.Sessions().Default().RecoveredBatches())
 		for _, sess := range srv.Sessions().List() {
 			fmt.Printf("neatserver session %q: %d batches recovered, %d trajectories\n",
 				sess.Name(), sess.RecoveredBatches(), len(sess.Current().Trajs))

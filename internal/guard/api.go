@@ -1,7 +1,6 @@
 package guard
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,9 +9,9 @@ import (
 )
 
 // Guard is one session's complete isolation state: the request and
-// point token buckets, the AIMD concurrency window, and the circuit
-// breaker, plus the counters that make every decision observable. All
-// methods are safe for concurrent use.
+// point token buckets and the circuit breaker, plus the counters that
+// make every decision observable. All methods are safe for concurrent
+// use.
 type Guard struct {
 	now      Clock
 	watchdog time.Duration
@@ -22,7 +21,6 @@ type Guard struct {
 
 	reqBucket *TokenBucket
 	ptBucket  *TokenBucket
-	sem       *AIMD
 	breaker   *Breaker
 
 	panics atomic.Int64
@@ -32,15 +30,13 @@ type Guard struct {
 	mRateLimitedReq *obs.Counter
 	mRateLimitedPts *obs.Counter
 	mBreakerState   *obs.Gauge
-	mConcLimit      *obs.Gauge
 	mPanics         *obs.Counter
 	mHeals          *obs.Counter
 }
 
 // New builds a guard from cfg. A zero Config yields a guard that
-// admits everything — no rate limits, no concurrency bound, breaker
-// disabled — so wiring a Guard in is behavior-neutral until an
-// operator configures it.
+// admits everything — no rate limits, breaker disabled — so wiring a
+// Guard in is behavior-neutral until an operator configures it.
 func New(cfg Config) *Guard {
 	now := cfg.Now
 	if now == nil {
@@ -54,7 +50,6 @@ func New(cfg Config) *Guard {
 	}
 	g.reqBucket = NewTokenBucket(cfg.Limits.IngestQPS, cfg.Limits.IngestBurst, now)
 	g.ptBucket = NewTokenBucket(cfg.Limits.PointsPerSec, cfg.Limits.PointBurst, now)
-	g.sem = NewAIMD(cfg.Limits.MinConcurrency, cfg.Limits.MaxConcurrency)
 	return g
 }
 
@@ -81,33 +76,6 @@ func (g *Guard) AllowPoints(n int) (ok bool, retryAfter time.Duration) {
 	return ok, retryAfter
 }
 
-// Acquire claims an AIMD concurrency slot, blocking until one frees or
-// ctx is done. Pair with Release.
-func (g *Guard) Acquire(ctx context.Context) error { return g.sem.Acquire(ctx) }
-
-// Release returns an AIMD slot.
-func (g *Guard) Release() { g.sem.Release() }
-
-// OnSuccess feeds the AIMD additive increase (a request completed
-// within its deadline).
-func (g *Guard) OnSuccess() {
-	g.sem.OnSuccess()
-	g.setConcGauge()
-}
-
-// OnCongestion feeds the AIMD multiplicative decrease (a deadline miss
-// or shed under this session's load).
-func (g *Guard) OnCongestion() {
-	g.sem.OnCongestion()
-	g.setConcGauge()
-}
-
-func (g *Guard) setConcGauge() {
-	if g.mConcLimit != nil {
-		g.mConcLimit.Set(float64(g.sem.Limit()))
-	}
-}
-
 // Breaker exposes the session's circuit breaker.
 func (g *Guard) Breaker() *Breaker { return g.breaker }
 
@@ -130,17 +98,14 @@ func (g *Guard) Limits() Limits {
 }
 
 // SetLimits applies a new limit set at runtime: the buckets restart
-// full under the new rates and the AIMD window is re-bounded. The
-// breaker and watchdog are construction-time configuration and are not
-// touched.
+// full under the new rates. The breaker and watchdog are
+// construction-time configuration and are not touched.
 func (g *Guard) SetLimits(l Limits) {
 	g.mu.Lock()
 	g.limits = l
 	g.mu.Unlock()
 	g.reqBucket.Reconfigure(l.IngestQPS, l.IngestBurst)
 	g.ptBucket.Reconfigure(l.PointsPerSec, l.PointBurst)
-	g.sem.SetMax(l.MinConcurrency, l.MaxConcurrency)
-	g.setConcGauge()
 }
 
 // Stats is a point-in-time guard snapshot for /v1/stats.
@@ -156,9 +121,6 @@ type Stats struct {
 	Stuck               int64
 	RateLimitedRequests int64
 	RateLimitedPoints   int64
-	ConcurrencyLimit    int
-	Inflight            int
-	WindowShrinks       int64
 }
 
 // Snapshot captures the guard's observable state.
@@ -175,9 +137,6 @@ func (g *Guard) Snapshot() Stats {
 		Stuck:               g.stuck.Load(),
 		RateLimitedRequests: g.reqBucket.Denied(),
 		RateLimitedPoints:   g.ptBucket.Denied(),
-		ConcurrencyLimit:    g.sem.Limit(),
-		Inflight:            g.sem.Inflight(),
-		WindowShrinks:       g.sem.Shrinks(),
 	}
 }
 
@@ -190,11 +149,9 @@ func (g *Guard) Instrument(reg *obs.Registry, label obs.Label) {
 	g.mRateLimitedReq = reg.Counter("neat_guard_rate_limited_total", label, obs.L("kind", "requests"))
 	g.mRateLimitedPts = reg.Counter("neat_guard_rate_limited_total", label, obs.L("kind", "points"))
 	g.mBreakerState = reg.Gauge("neat_guard_breaker_state", label)
-	g.mConcLimit = reg.Gauge("neat_guard_concurrency_limit", label)
 	g.mPanics = reg.Counter("neat_guard_panics_total", label)
 	g.mHeals = reg.Counter("neat_guard_heals_total", label)
 	g.mBreakerState.Set(float64(Closed))
-	g.setConcGauge()
 	toClosed := reg.Counter("neat_guard_transitions_total", label, obs.L("to", "closed"))
 	toOpen := reg.Counter("neat_guard_transitions_total", label, obs.L("to", "open"))
 	toHalf := reg.Counter("neat_guard_transitions_total", label, obs.L("to", "half-open"))

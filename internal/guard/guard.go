@@ -1,10 +1,10 @@
 // Package guard is the tenant-isolation layer: per-session token-bucket
-// rate limits, adaptive (AIMD) concurrency control, and a circuit
-// breaker that quarantines a failing session until half-open probes
-// prove it healthy again. One Guard instance belongs to one session and
-// makes every admission decision for it — before a request touches the
-// clustering pipeline — so an abusive or faulty tenant is shed at the
-// door instead of wedging the shared queue or poisoning derived state.
+// rate limits and a circuit breaker that quarantines a failing session
+// until half-open probes prove it healthy again. One Guard instance
+// belongs to one session and makes its rate and quarantine decisions
+// before a request touches the clustering pipeline, so an abusive or
+// faulty tenant is shed at the door instead of wedging the shared
+// queue or poisoning derived state.
 //
 // Every decision is a pure function of the Guard's state and an
 // injected clock: nothing in this package reads the wall clock unless
@@ -64,10 +64,9 @@ func (c *ManualClock) Set(t time.Time) {
 	c.mu.Unlock()
 }
 
-// Limits are the per-session admission knobs. The zero value means
-// "unlimited" for every rate and "unbounded" for concurrency, which
-// keeps single-tenant deployments byte-identical to the pre-guard
-// behavior unless an operator opts in.
+// Limits are the per-session rate knobs. The zero value means
+// "unlimited" for every rate, which keeps single-tenant deployments
+// byte-identical to the pre-guard behavior unless an operator opts in.
 type Limits struct {
 	// IngestQPS caps ingest requests per second (token bucket);
 	// <= 0 means unlimited.
@@ -82,11 +81,6 @@ type Limits struct {
 	// max(1, ceil(PointsPerSec)). A single batch larger than the
 	// burst costs the full bucket rather than being unadmittable.
 	PointBurst int
-	// MaxConcurrency is the AIMD ceiling for concurrent requests into
-	// the session; <= 0 disables the limiter (unbounded).
-	MaxConcurrency int
-	// MinConcurrency is the AIMD floor; < 1 means 1.
-	MinConcurrency int
 }
 
 // BreakerConfig tunes the per-session circuit breaker. The zero value

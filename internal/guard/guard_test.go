@@ -1,9 +1,6 @@
 package guard
 
 import (
-	"context"
-	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -67,118 +64,6 @@ func TestTokenBucketDisabled(t *testing.T) {
 		if ok, _ := b.Take(1000); !ok {
 			t.Fatal("disabled bucket must always admit")
 		}
-	}
-}
-
-func TestAIMDStartsAtCeilingAndShedsBeyondIt(t *testing.T) {
-	a := NewAIMD(1, 3)
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if err := a.Acquire(ctx); err != nil {
-			t.Fatalf("acquire %d: %v", i, err)
-		}
-	}
-	if a.TryAcquire() {
-		t.Fatal("4th slot granted above a ceiling of 3")
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := a.Acquire(cctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("acquire on a full window with done ctx = %v, want Canceled", err)
-	}
-	a.Release()
-	if !a.TryAcquire() {
-		t.Fatal("released slot not reusable")
-	}
-}
-
-func TestAIMDHalvesAndRegrows(t *testing.T) {
-	a := NewAIMD(1, 16)
-	if got := a.Limit(); got != 16 {
-		t.Fatalf("initial limit %d, want ceiling 16", got)
-	}
-	a.OnCongestion()
-	if got := a.Limit(); got != 8 {
-		t.Fatalf("after congestion limit %d, want 8", got)
-	}
-	for i := 0; i < 5; i++ {
-		a.OnCongestion()
-	}
-	if got := a.Limit(); got != 1 {
-		t.Fatalf("limit %d, want floor 1", got)
-	}
-	for i := 0; i < 100; i++ {
-		a.OnSuccess()
-	}
-	if got := a.Limit(); got != 16 {
-		t.Fatalf("regrown limit %d, want ceiling 16", got)
-	}
-	if a.Shrinks() != 4 { // 16→8→4→2→1; at the floor further signals are no-ops
-		t.Fatalf("shrinks %d, want 4", a.Shrinks())
-	}
-}
-
-func TestAIMDGrantWakesWaiter(t *testing.T) {
-	a := NewAIMD(1, 1)
-	if err := a.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- a.Acquire(context.Background()) }()
-	time.Sleep(10 * time.Millisecond) // let the waiter queue
-	a.Release()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("waiter woke with error: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter never granted after Release")
-	}
-	a.Release()
-	if got := a.Inflight(); got != 0 {
-		t.Fatalf("inflight %d after all releases, want 0", got)
-	}
-}
-
-func TestAIMDCancelRacingGrant(t *testing.T) {
-	// Hammer the cancel-vs-grant race under -race: slots must never
-	// leak whichever side wins.
-	a := NewAIMD(1, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%3)*time.Millisecond)
-			defer cancel()
-			if err := a.Acquire(ctx); err == nil {
-				a.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := a.Inflight(); got != 0 {
-		t.Fatalf("inflight %d after all goroutines exited, want 0 (slot leak)", got)
-	}
-}
-
-func TestAIMDDisabled(t *testing.T) {
-	a := NewAIMD(0, 0)
-	for i := 0; i < 100; i++ {
-		if err := a.Acquire(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.OnCongestion()
-	if got := a.Limit(); got != 0 {
-		t.Fatalf("disabled limiter limit %d, want 0", got)
-	}
-	for i := 0; i < 100; i++ {
-		a.Release()
-	}
-	if got := a.Inflight(); got != 0 {
-		t.Fatalf("inflight %d, want 0", got)
 	}
 }
 
@@ -285,7 +170,7 @@ func TestBreakerDisabled(t *testing.T) {
 func TestGuardSetLimitsAndSnapshot(t *testing.T) {
 	clk, now := manual()
 	g := New(Config{
-		Limits:  Limits{IngestQPS: 1, IngestBurst: 1, PointsPerSec: 10, PointBurst: 10, MaxConcurrency: 4},
+		Limits:  Limits{IngestQPS: 1, IngestBurst: 1, PointsPerSec: 10, PointBurst: 10},
 		Breaker: BreakerConfig{TripAfter: 2, Cooldown: time.Second},
 		Now:     now,
 	})
@@ -302,16 +187,13 @@ func TestGuardSetLimitsAndSnapshot(t *testing.T) {
 		t.Fatal("point budget exhausted, must shed")
 	}
 
-	g.SetLimits(Limits{IngestQPS: 100, PointsPerSec: 1000, MaxConcurrency: 2})
+	g.SetLimits(Limits{IngestQPS: 100, PointsPerSec: 1000})
 	if ok, _ := g.AllowRequest(); !ok {
 		t.Fatal("raised limit must admit immediately (bucket restarts full)")
 	}
 	st := g.Snapshot()
 	if st.RateLimitedRequests != 1 || st.RateLimitedPoints != 1 {
 		t.Fatalf("denied counters = %d/%d, want 1/1", st.RateLimitedRequests, st.RateLimitedPoints)
-	}
-	if st.ConcurrencyLimit != 2 {
-		t.Fatalf("concurrency limit %d, want 2 after SetLimits", st.ConcurrencyLimit)
 	}
 	if st.BreakerState != "closed" || !st.BreakerEnabled {
 		t.Fatalf("breaker snapshot %+v", st)
@@ -340,9 +222,6 @@ func TestGuardZeroConfigIsNeutral(t *testing.T) {
 		}
 		if ok, _ := g.AllowPoints(1 << 20); !ok {
 			t.Fatal("zero-config guard must admit every point batch")
-		}
-		if err := g.Acquire(context.Background()); err != nil {
-			t.Fatal(err)
 		}
 	}
 	if g.Breaker().Enabled() {

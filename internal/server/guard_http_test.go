@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,8 +103,8 @@ func TestIngestPointBudget429(t *testing.T) {
 }
 
 // TestSessionLimitsAPI drives the per-session override endpoint:
-// defaults read back, overrides apply (and enforce), bad input and
-// unknown sessions are rejected.
+// defaults read back, overrides apply (and enforce), bad input,
+// unknown fields and unknown sessions are rejected.
 func TestSessionLimitsAPI(t *testing.T) {
 	g, ds := testSetup(t)
 	clk := guard.NewManualClock(time.Unix(1_700_000_000, 0))
@@ -120,7 +121,7 @@ func TestSessionLimitsAPI(t *testing.T) {
 		t.Fatalf("default limits = %+v, want unlimited", lim)
 	}
 
-	want := SessionLimitsDTO{Session: "default", IngestQPS: 1, IngestBurst: 1, MaxConcurrency: 4, MinConcurrency: 1}
+	want := SessionLimitsDTO{Session: "default", IngestQPS: 1, IngestBurst: 1}
 	var got SessionLimitsDTO
 	if err := c.do(ctx, http.MethodPost, "/v1/sessions/limits", want, &got); err != nil {
 		t.Fatal(err)
@@ -151,44 +152,15 @@ func TestSessionLimitsAPI(t *testing.T) {
 		SessionLimitsDTO{Session: "default", IngestQPS: -1}, nil); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("negative limit: err %v, want 400", err)
 	}
-}
-
-// TestSessionLimitsDefaultCeiling pins the per-session concurrency
-// ceiling GET /v1/sessions/limits reports: the server's MaxInflight
-// (16 by default, -1 when admission control is off) unless the guard
-// template sets MaxConcurrency, for the default session and for a
-// session created over the API alike.
-func TestSessionLimitsDefaultCeiling(t *testing.T) {
-	g, _ := testSetup(t)
-	cases := []struct {
-		name string
-		cfg  Config
-		want int
-	}{
-		{"default", Config{}, 16},
-		{"unbounded", Config{MaxInflight: -1}, -1},
-		{"max-inflight", Config{MaxInflight: 5}, 5},
-		{"guard-override", Config{MaxInflight: 5, Guard: guard.Config{Limits: guard.Limits{MaxConcurrency: 3}}}, 3},
+	if err := c.do(ctx, http.MethodPost, "/v1/sessions/limits",
+		json.RawMessage(`{"session":"default","max_concurrency":4}`), nil); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("unknown field: err %v, want 400", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := httptest.NewServer(New(g, tc.cfg).Handler())
-			defer srv.Close()
-			c := NewClient(srv.URL, srv.Client())
-			ctx := context.Background()
-			if _, err := c.CreateSession(ctx, CreateSessionRequest{Name: "tenant", Region: "SJ", Scale: 0.02}); err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range []string{"default", "tenant"} {
-				lim, err := c.SessionLimits(ctx, name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lim.MaxConcurrency != tc.want {
-					t.Errorf("session %s: max_concurrency %d, want %d", name, lim.MaxConcurrency, tc.want)
-				}
-			}
-		})
+	if err := c.do(ctx, http.MethodGet, "/v1/sessions/limits?session=default", nil, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("limits after rejected POSTs = %+v, want %+v", got, want)
 	}
 }
 

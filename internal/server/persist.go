@@ -1,9 +1,6 @@
 package server
 
-import (
-	"repro/internal/persist"
-	"repro/internal/session"
-)
+import "repro/internal/session"
 
 // Close shuts every session down: final checkpoints covering every
 // acknowledged batch, then each WAL is flushed and closed. A no-op
@@ -15,22 +12,6 @@ func (s *Server) Close() error { return s.reg.Close() }
 // checkpointing — the process-internal equivalent of kill -9, for
 // crash-recovery tests.
 func (s *Server) Abort() { s.reg.Abort() }
-
-// PersistStats snapshots the default session's durability counters;
-// the zero Stats when persistence is disabled. Per-session counters
-// are on Sessions().
-func (s *Server) PersistStats() persist.Stats { return s.reg.Default().PersistStats() }
-
-// RecoveredBatches reports how many acknowledged ingest batches Open
-// restored into the default session (checkpoint plus WAL replay); 0
-// for an in-memory server or a fresh data directory.
-func (s *Server) RecoveredBatches() uint64 { return s.reg.Default().RecoveredBatches() }
-
-// persistenceDTO assembles the default session's /v1/stats persistence
-// block; nil when persistence is disabled.
-func (s *Server) persistenceDTO() *PersistenceDTO {
-	return persistenceDTO(s.reg.Default())
-}
 
 // persistenceDTO assembles one session's /v1/stats persistence block;
 // nil when the session is in-memory.

@@ -62,10 +62,11 @@ func TestServerCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.RecoveredBatches(); got != 3 {
+	def := s2.Sessions().Default()
+	if got := def.RecoveredBatches(); got != 3 {
 		t.Fatalf("recovered %d batches, want 3", got)
 	}
-	if rec := s2.PersistStats().Recovery; rec.Replayed != 1 {
+	if rec := def.PersistStats().Recovery; rec.Replayed != 1 {
 		t.Fatalf("replayed %d WAL records, want 1 (checkpoint covers 2 of 3)", rec.Replayed)
 	}
 	h2 := httptest.NewServer(s2.Handler())
@@ -149,15 +150,17 @@ func TestServerCleanRestartReplaysNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.RecoveredBatches() != 1 {
-		t.Fatalf("recovered %d batches, want 1", s2.RecoveredBatches())
+	def := s2.Sessions().Default()
+	if def.RecoveredBatches() != 1 {
+		t.Fatalf("recovered %d batches, want 1", def.RecoveredBatches())
 	}
-	if rec := s2.PersistStats().Recovery; rec.Replayed != 0 {
+	if rec := def.PersistStats().Recovery; rec.Replayed != 0 {
 		t.Fatalf("clean restart replayed %d records, want 0", rec.Replayed)
 	}
 
 	mem := New(g, Config{Persist: &persist.Options{Dir: dir}})
-	if mem.PersistStats().Dir != "" || mem.persistenceDTO() != nil {
+	memDef := mem.Sessions().Default()
+	if memDef.PersistStats().Dir != "" || persistenceDTO(memDef) != nil {
 		t.Fatal("New (in-memory constructor) opened a store")
 	}
 	if err := mem.Close(); err != nil {

@@ -61,12 +61,9 @@ type Config struct {
 	// 503. Zero selects 16; negative disables admission control
 	// entirely.
 	//
-	// The same value also bounds each session's own concurrency
-	// underneath the global cap, unless Guard.Limits.MaxConcurrency
-	// sets another: it seeds the session's adaptive (AIMD) admission
-	// window, which halves on deadline misses and sheds, so a hot
-	// tenant shrinks its own footprint instead of monopolizing the
-	// global queue (see internal/guard).
+	// The same value is each session's slot count
+	// (session.Config.MaxInflight). A request holds its global slot
+	// while it takes a session slot, so that gate never blocks here.
 	MaxInflight int
 	// Guard is the per-session isolation template applied to every
 	// session (the default session included): token-bucket ingest rate
@@ -275,9 +272,9 @@ func (s *Server) admission(next http.Handler) http.Handler {
 }
 
 // withSession resolves the ?session= query parameter (default session
-// without it) and takes a per-session admission slot underneath the
-// global cap, so one tenant's slow requests cannot occupy every global
-// slot. An unknown session is a typed 404 with a JSON body.
+// without it) and takes one of the session's slots underneath the
+// global cap (see Config.MaxInflight). An unknown session is a typed
+// 404 with a JSON body.
 func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *session.Session)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sess, err := s.reg.Get(r.URL.Query().Get("session"))
@@ -288,8 +285,7 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *session
 		if !sess.Acquire(r.Context()) {
 			// A per-tenant shed, not a global one: record it under the
 			// session's own capped label and reason so /metrics can tell
-			// which tenant ran out of window (the session's AIMD guard
-			// has already counted the congestion signal).
+			// which tenant was shed.
 			sess.Metrics().ShedSessionSlot.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, "session %q overloaded: no session slot within deadline", sess.Name())
@@ -444,7 +440,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *sess
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, "ingest unavailable: %v", pan)
 		case errors.Is(err, guard.ErrStuck):
-			sess.Guard().OnCongestion()
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, "ingest unavailable: %v", err)
 		case errors.Is(err, session.ErrNotDurable):
@@ -463,7 +458,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *sess
 			// session's commit is atomic), so the batch is safely
 			// retryable — but the server is degraded, not the request
 			// malformed.
-			sess.Guard().OnCongestion()
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, "preprocess: %v", err)
 		default:
@@ -471,7 +465,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *sess
 		}
 		return
 	}
-	sess.Guard().OnSuccess()
 	writeJSON(w, http.StatusOK, IngestResponse{
 		Accepted:       st.Accepted,
 		Fragments:      st.Fragments,
@@ -557,18 +550,12 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || fault.IsInjected(err) {
-			if !fault.IsInjected(err) {
-				// A deadline miss under load is the AIMD congestion
-				// signal; injected faults are not load.
-				sess.Guard().OnCongestion()
-			}
 			s.degradeClusters(w, sess, cacheKey, err)
 			return
 		}
 		writeError(w, http.StatusInternalServerError, "clustering: %v", err)
 		return
 	}
-	sess.Guard().OnSuccess()
 	resp := ClusterResponse{
 		Level:        res.Level.String(),
 		BaseClusters: fs.BaseClusters,

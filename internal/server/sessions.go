@@ -127,7 +127,9 @@ func sessionDTO(sess *session.Session) SessionDTO {
 //	POST /v1/sessions/limits                 set them (body: SessionLimitsDTO)
 //
 // A POST replaces the session's whole limit set: the token buckets
-// restart full under the new rates and the AIMD window is re-bounded.
+// restart full under the new rates. A body field SessionLimitsDTO does
+// not declare is a 400, so a setting the server does not know is never
+// silently ignored.
 func (s *Server) handleSessionLimits(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -139,7 +141,9 @@ func (s *Server) handleSessionLimits(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, limitsDTO(sess))
 	case http.MethodPost:
 		var req SessionLimitsDTO
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, "decode: %v", err)
 			return
 		}
@@ -153,12 +157,10 @@ func (s *Server) handleSessionLimits(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sess.Guard().SetLimits(guard.Limits{
-			IngestQPS:      req.IngestQPS,
-			IngestBurst:    req.IngestBurst,
-			PointsPerSec:   req.PointsPerSec,
-			PointBurst:     req.PointBurst,
-			MaxConcurrency: req.MaxConcurrency,
-			MinConcurrency: req.MinConcurrency,
+			IngestQPS:    req.IngestQPS,
+			IngestBurst:  req.IngestBurst,
+			PointsPerSec: req.PointsPerSec,
+			PointBurst:   req.PointBurst,
 		})
 		writeJSON(w, http.StatusOK, limitsDTO(sess))
 	default:
@@ -169,13 +171,11 @@ func (s *Server) handleSessionLimits(w http.ResponseWriter, r *http.Request) {
 func limitsDTO(sess *session.Session) SessionLimitsDTO {
 	l := sess.Guard().Limits()
 	return SessionLimitsDTO{
-		Session:        sess.Name(),
-		IngestQPS:      l.IngestQPS,
-		IngestBurst:    l.IngestBurst,
-		PointsPerSec:   l.PointsPerSec,
-		PointBurst:     l.PointBurst,
-		MaxConcurrency: l.MaxConcurrency,
-		MinConcurrency: l.MinConcurrency,
+		Session:      sess.Name(),
+		IngestQPS:    l.IngestQPS,
+		IngestBurst:  l.IngestBurst,
+		PointsPerSec: l.PointsPerSec,
+		PointBurst:   l.PointBurst,
 	}
 }
 
@@ -194,17 +194,12 @@ func guardDTO(sess *session.Session) GuardDTO {
 		RateLimitedRequests: st.RateLimitedRequests,
 		RateLimitedPoints:   st.RateLimitedPoints,
 		Limits: SessionLimitsDTO{
-			Session:        sess.Name(),
-			IngestQPS:      st.Limits.IngestQPS,
-			IngestBurst:    st.Limits.IngestBurst,
-			PointsPerSec:   st.Limits.PointsPerSec,
-			PointBurst:     st.Limits.PointBurst,
-			MaxConcurrency: st.Limits.MaxConcurrency,
-			MinConcurrency: st.Limits.MinConcurrency,
+			Session:      sess.Name(),
+			IngestQPS:    st.Limits.IngestQPS,
+			IngestBurst:  st.Limits.IngestBurst,
+			PointsPerSec: st.Limits.PointsPerSec,
+			PointBurst:   st.Limits.PointBurst,
 		},
-		ConcurrencyLimit: st.ConcurrencyLimit,
-		Inflight:         st.Inflight,
-		WindowShrinks:    st.WindowShrinks,
-		WatchdogMs:       float64(sess.Guard().Watchdog().Microseconds()) / 1000,
+		WatchdogMs: float64(sess.Guard().Watchdog().Microseconds()) / 1000,
 	}
 }

@@ -93,8 +93,8 @@ type StatsResponse struct {
 	// Robustness reports admission-control configuration and the
 	// server's degradation state.
 	Robustness RobustnessDTO `json:"robustness"`
-	// Guard reports the session's isolation state: rate limits,
-	// adaptive concurrency window, and circuit breaker.
+	// Guard reports the session's isolation state: rate limits and
+	// circuit breaker.
 	Guard *GuardDTO `json:"guard,omitempty"`
 	// Persistence reports the durability layer (WAL + checkpoints);
 	// nil when the server runs in-memory only.
@@ -167,20 +167,19 @@ type FaultSpecDTO struct {
 }
 
 // SessionLimitsDTO is the body of GET and POST /v1/sessions/limits:
-// the per-session guard overrides. Zero rate values mean unlimited;
-// MaxConcurrency <= 0 means unbounded.
+// the per-session rate-limit overrides. Zero rate values mean
+// unlimited; zero bursts are derived from the rates. A POST carrying
+// any other field is rejected with 400.
 type SessionLimitsDTO struct {
-	Session        string  `json:"session"`
-	IngestQPS      float64 `json:"ingest_qps"`
-	IngestBurst    int     `json:"ingest_burst"`
-	PointsPerSec   float64 `json:"points_per_sec"`
-	PointBurst     int     `json:"point_burst"`
-	MaxConcurrency int     `json:"max_concurrency"`
-	MinConcurrency int     `json:"min_concurrency"`
+	Session      string  `json:"session"`
+	IngestQPS    float64 `json:"ingest_qps"`
+	IngestBurst  int     `json:"ingest_burst"`
+	PointsPerSec float64 `json:"points_per_sec"`
+	PointBurst   int     `json:"point_burst"`
 }
 
 // GuardDTO is the guard section of GET /v1/stats: the session's
-// isolation state — limits, adaptive window, breaker lifecycle — all
+// isolation state — rate limits and breaker lifecycle — all
 // deterministic functions of the injected clock.
 type GuardDTO struct {
 	BreakerEnabled bool   `json:"breaker_enabled"`
@@ -199,13 +198,9 @@ type GuardDTO struct {
 	// RateLimited* count requests shed by the token buckets.
 	RateLimitedRequests int64 `json:"rate_limited_requests"`
 	RateLimitedPoints   int64 `json:"rate_limited_points"`
-	// Limits echoes the configured budgets; ConcurrencyLimit and
-	// Inflight describe the live AIMD window.
-	Limits           SessionLimitsDTO `json:"limits"`
-	ConcurrencyLimit int              `json:"concurrency_limit"`
-	Inflight         int              `json:"inflight"`
-	WindowShrinks    int64            `json:"window_shrinks"`
-	WatchdogMs       float64          `json:"watchdog_ms,omitempty"`
+	// Limits echoes the configured budgets.
+	Limits     SessionLimitsDTO `json:"limits"`
+	WatchdogMs float64          `json:"watchdog_ms,omitempty"`
 }
 
 // RobustnessDTO is the robustness section of GET /v1/stats: the

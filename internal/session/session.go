@@ -63,17 +63,16 @@ type Config struct {
 	// Workers is the Phase 3 refinement worker count (0 serial,
 	// negative all CPUs); output-identical either way.
 	Workers int
-	// MaxInflight bounds concurrently served requests for this session
-	// (per-session admission; the server keeps its own global cap on
-	// top). 0 or negative disables the per-session bound. It seeds the
-	// guard's AIMD ceiling when Guard.Limits.MaxConcurrency is unset,
-	// so existing configurations keep their static limit until the
-	// first congestion signal shrinks the window.
+	// MaxInflight is the number of Acquire slots: a static bound on
+	// concurrently served requests for this session. 0 or negative
+	// disables it. The server passes its global cap here and takes a
+	// global slot before each session slot, so a request through the
+	// server never waits on this bound.
 	MaxInflight int
 	// Guard configures the session's isolation layer: token-bucket
-	// rate limits, adaptive concurrency, circuit breaker, watchdog.
-	// The zero value admits everything (no breaker, no limits), which
-	// is the exact pre-guard behavior.
+	// rate limits, circuit breaker, watchdog. The zero value admits
+	// everything (no breaker, no limits), which is the exact pre-guard
+	// behavior.
 	Guard guard.Config
 	// CacheEntries sizes the session's junction-pair distance cache: 0
 	// selects the default budget, negative disables the cache.
@@ -184,9 +183,12 @@ type Session struct {
 	keptEpoch uint64
 	keptFrags int
 
-	// guard is the session's isolation layer: rate limits, AIMD
-	// admission (the successor of the static inflight semaphore),
-	// circuit breaker, and watchdog. Never nil.
+	// slots is the Acquire semaphore, MaxInflight deep; nil when
+	// MaxInflight <= 0.
+	slots chan struct{}
+
+	// guard is the session's isolation layer: rate limits, circuit
+	// breaker, and watchdog. Never nil.
 	guard *guard.Guard
 
 	// distCache memoizes junction-pair network distances across this
@@ -222,13 +224,10 @@ func New(name string, g *roadnet.Graph, cfg Config) (*Session, error) {
 		pipeSem:  make(chan struct{}, 1),
 	}
 	s.snap.Store(&Snapshot{})
-	gcfg := cfg.Guard
-	if gcfg.Limits.MaxConcurrency == 0 {
-		// Back-compat: the static per-session inflight cap becomes the
-		// AIMD ceiling (<= 0 stays unbounded, as before).
-		gcfg.Limits.MaxConcurrency = cfg.MaxInflight
+	if cfg.MaxInflight > 0 {
+		s.slots = make(chan struct{}, cfg.MaxInflight)
 	}
-	s.guard = guard.New(gcfg)
+	s.guard = guard.New(cfg.Guard)
 	s.guard.Instrument(cfg.Obs, cfg.Label)
 	for i := 0; i < cfg.DataNodes; i++ {
 		s.nodes <- traj.NewPartitioner(g, shortest.New(g, nil))
@@ -302,22 +301,27 @@ func (s *Session) Workers() int { return s.cfg.Workers }
 // the empty snapshot (Version 0).
 func (s *Session) Current() *Snapshot { return s.snap.Load() }
 
-// Acquire takes a per-session admission slot from the guard's AIMD
-// window, giving up when ctx expires (false = shed this request). A
-// shed is a congestion signal: the window halves, so a tenant whose
-// requests keep timing out in the queue shrinks its own footprint
-// instead of monopolizing the shared inflight budget. A no-op true
-// when the session has no concurrency bound. Pair with Release.
+// Acquire takes one of the session's MaxInflight admission slots,
+// giving up when ctx expires (false = shed this request). Always true
+// when MaxInflight <= 0. Pair a true result with Release.
 func (s *Session) Acquire(ctx context.Context) bool {
-	if err := s.guard.Acquire(ctx); err != nil {
-		s.guard.OnCongestion()
+	if s.slots == nil {
+		return true
+	}
+	select {
+	case s.slots <- struct{}{}:
+		return true
+	case <-ctx.Done():
 		return false
 	}
-	return true
 }
 
 // Release returns the slot taken by a successful Acquire.
-func (s *Session) Release() { s.guard.Release() }
+func (s *Session) Release() {
+	if s.slots != nil {
+		<-s.slots
+	}
+}
 
 // Guard exposes the session's isolation layer (never nil).
 func (s *Session) Guard() *guard.Guard { return s.guard }
