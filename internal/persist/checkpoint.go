@@ -100,17 +100,17 @@ func decodeCheckpoint(data []byte) (uint64, []byte, error) {
 
 // CheckpointInfo describes one checkpoint file on disk.
 type CheckpointInfo struct {
-	Path  string
-	Seq   uint64
+	Path string
+	Seq  uint64
+	// Bytes is the file's size and Err its validation failure, filled in
+	// once the file is read; recovery skips an invalid file.
 	Bytes int64
-	// Err is non-nil when the file failed validation; recovery skips
-	// such files.
-	Err error
+	Err   error
 }
 
 // listCheckpoints returns the directory's checkpoint files newest
-// (highest seq) first, validated. Stray .tmp files from a crashed
-// write are removed.
+// (highest seq) first, ordered by the sequence number in their names.
+// It reads no file and removes nothing; readCheckpoint validates one.
 func listCheckpoints(dir string) ([]CheckpointInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -118,67 +118,94 @@ func listCheckpoints(dir string) ([]CheckpointInfo, error) {
 	}
 	var out []CheckpointInfo
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
+		if seq, ok := parseCkptName(e.Name()); ok && !e.IsDir() {
+			out = append(out, CheckpointInfo{Path: filepath.Join(dir, e.Name()), Seq: seq})
 		}
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") && strings.HasPrefix(name, ckptPrefix) {
-			_ = os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		seq, ok := parseCkptName(name)
-		if !ok {
-			continue
-		}
-		ci := CheckpointInfo{Path: filepath.Join(dir, name), Seq: seq}
-		data, err := os.ReadFile(ci.Path)
-		if err != nil {
-			ci.Err = err
-		} else {
-			ci.Bytes = int64(len(data))
-			fseq, _, err := decodeCheckpoint(data)
-			if err != nil {
-				ci.Err = err
-			} else if fseq != seq {
-				ci.Err = fmt.Errorf("persist: checkpoint %s claims seq %d", name, fseq)
-			}
-		}
-		out = append(out, ci)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
 	return out, nil
 }
 
-// writeCheckpointFile writes the framed checkpoint atomically and
-// returns the file's final path.
-func writeCheckpointFile(dir string, seq uint64, payload []byte) (string, error) {
+// readCheckpoint reads and validates ci's file, records its size in
+// ci.Bytes, and returns its payload.
+func readCheckpoint(ci *CheckpointInfo) ([]byte, error) {
+	data, err := os.ReadFile(ci.Path)
+	if err != nil {
+		return nil, err
+	}
+	ci.Bytes = int64(len(data))
+	seq, payload, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, err
+	}
+	if seq != ci.Seq {
+		return nil, fmt.Errorf("persist: checkpoint %s claims seq %d", filepath.Base(ci.Path), seq)
+	}
+	return payload, nil
+}
+
+// loadNewestCheckpoint reads the directory's checkpoints newest first
+// and returns the first valid one's sequence number and payload, or a
+// nil payload when none is valid. skipped counts the invalid files
+// newer than it. Each file is read at most once.
+func loadNewestCheckpoint(dir string) (seq uint64, payload []byte, skipped int, err error) {
+	cks, err := listCheckpoints(dir)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	for i := range cks {
+		if p, err := readCheckpoint(&cks[i]); err == nil {
+			return cks[i].Seq, p, skipped, nil
+		}
+		skipped++
+	}
+	return 0, nil, skipped, nil
+}
+
+// removeStrayTemps deletes the .tmp files that crashed checkpoint
+// writes left behind. Only Open calls it: a live store may be writing
+// one.
+func removeStrayTemps(dir string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, ckptPrefix) && strings.HasSuffix(name, ".tmp") && !e.IsDir() {
+			_ = os.Remove(filepath.Join(dir, name))
+		}
+	}
+}
+
+// writeCheckpointFile writes the framed checkpoint atomically.
+func writeCheckpointFile(dir string, seq uint64, payload []byte) error {
 	final := filepath.Join(dir, ckptName(seq))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return "", err
+		return err
 	}
 	framed := encodeCheckpoint(seq, payload)
 	if _, err := f.Write(framed); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
 	syncDir(dir)
-	return final, nil
+	return nil
 }
 
 // syncDir fsyncs a directory so a rename (or segment create/delete)

@@ -188,8 +188,7 @@ type Store struct {
 	mu      sync.Mutex
 	segs    []segment
 	cur     *os.File // active segment (last of segs); nil until first append
-	ckpt    CheckpointInfo
-	payload []byte // newest valid checkpoint payload (released by Checkpoint)
+	payload []byte   // newest valid checkpoint payload (released by Checkpoint)
 	rec     RecoveryStats
 	closed  bool
 
@@ -231,30 +230,16 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{opts: opts}
 	s.instrument(opts.Obs)
 
-	cks, err := listCheckpoints(opts.Dir)
+	removeStrayTemps(opts.Dir)
+	seq, payload, skipped, err := loadNewestCheckpoint(opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: list checkpoints: %w", err)
 	}
-	for _, ci := range cks {
-		if ci.Err != nil {
-			s.rec.SkippedCheckpoints++
-			continue
-		}
-		data, err := os.ReadFile(ci.Path)
-		if err != nil {
-			s.rec.SkippedCheckpoints++
-			continue
-		}
-		seq, payload, err := decodeCheckpoint(data)
-		if err != nil {
-			s.rec.SkippedCheckpoints++
-			continue
-		}
-		s.ckpt = ci
+	s.rec.SkippedCheckpoints = skipped
+	if payload != nil {
 		s.payload = payload
 		s.rec.CheckpointSeq = seq
 		s.rec.CheckpointBytes = int64(len(payload))
-		break
 	}
 
 	segs, torn, err := loadSegments(opts.Dir)
@@ -322,25 +307,11 @@ func (s *Store) Checkpoint() (seq uint64, payload []byte, ok bool) {
 // when the directory holds no usable checkpoint (recovery then replays
 // the WAL from the start).
 func (s *Store) ReloadCheckpoint() (seq uint64, payload []byte, ok bool) {
-	cks, err := listCheckpoints(s.opts.Dir)
-	if err != nil {
+	seq, payload, _, err := loadNewestCheckpoint(s.opts.Dir)
+	if err != nil || payload == nil {
 		return 0, nil, false
 	}
-	for _, ci := range cks {
-		if ci.Err != nil {
-			continue
-		}
-		data, err := os.ReadFile(ci.Path)
-		if err != nil {
-			continue
-		}
-		seq, payload, err := decodeCheckpoint(data)
-		if err != nil {
-			continue
-		}
-		return seq, payload, true
-	}
-	return 0, nil, false
+	return seq, payload, true
 }
 
 // Replay streams every valid WAL record with Seq >= from, in sequence
@@ -532,13 +503,11 @@ func (s *Store) WriteCheckpoint(seq uint64, payload []byte) error {
 		s.lastCkptErr = err.Error()
 		return err
 	}
-	path, err := writeCheckpointFile(s.opts.Dir, seq, payload)
-	if err != nil {
+	if err := writeCheckpointFile(s.opts.Dir, seq, payload); err != nil {
 		s.lastCkptErr = err.Error()
 		return fmt.Errorf("persist: write checkpoint: %w", err)
 	}
 	s.lastCkptErr = ""
-	s.ckpt = CheckpointInfo{Path: path, Seq: seq, Bytes: int64(len(payload))}
 	s.payload = nil // recovery payload superseded; owners re-encode on demand
 	s.rec.CheckpointSeq = seq
 	s.rec.CheckpointBytes = int64(len(payload))
@@ -699,6 +668,9 @@ func Inspect(dir string) (InspectReport, error) {
 	cks, err := listCheckpoints(dir)
 	if err != nil {
 		return rep, err
+	}
+	for i := range cks {
+		_, cks[i].Err = readCheckpoint(&cks[i])
 	}
 	rep.Checkpoints = cks
 	entries, err := os.ReadDir(dir)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -293,6 +294,110 @@ func TestCheckpointWriteLoadPruneFallback(t *testing.T) {
 	}
 	if s3.Stats().Recovery.SkippedCheckpoints != 1 {
 		t.Fatalf("skipped = %d, want 1", s3.Stats().Recovery.SkippedCheckpoints)
+	}
+}
+
+// writeCheckpoints opens a store in dir, writes checkpoints at seqs 1..n
+// and closes it.
+func writeCheckpoints(t *testing.T, dir string, n uint64) {
+	t.Helper()
+	s, err := Open(Options{Dir: dir, Fsync: FsyncOff, KeepCheckpoints: int(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= n; seq++ {
+		if err := s.WriteCheckpoint(seq, EncodeServerState(ServerState{Batches: seq})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A live server may be writing a checkpoint's temp file while
+// `neatcli wal` inspects its directory: Inspect must leave it, and only
+// Open removes it.
+func TestInspectLeavesCheckpointTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	writeCheckpoints(t, dir, 1)
+	tmp := filepath.Join(dir, ckptName(2)+".tmp")
+	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Inspect(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("Inspect removed %s: %v", filepath.Base(tmp), err)
+	}
+	s, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("Open left %s: %v", filepath.Base(tmp), err)
+	}
+}
+
+// Listing reads no file, so Inspect validates each checkpoint itself.
+func TestInspectValidatesCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	writeCheckpoints(t, dir, 3)
+	corrupt := filepath.Join(dir, ckptName(3))
+	data, err := os.ReadFile(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A valid checkpoint under another sequence number's name.
+	valid, err := os.ReadFile(filepath.Join(dir, ckptName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, ckptName(1)), filepath.Join(dir, ckptName(7))); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint64
+	for _, ck := range rep.Checkpoints {
+		seqs = append(seqs, ck.Seq)
+	}
+	if !reflect.DeepEqual(seqs, []uint64{7, 3, 2}) {
+		t.Fatalf("checkpoint order %v, want [7 3 2]", seqs)
+	}
+	if err := rep.Checkpoints[0].Err; err == nil || !strings.Contains(err.Error(), "claims seq 1") {
+		t.Errorf("renamed checkpoint: err %v, want a seq mismatch", err)
+	}
+	if err := rep.Checkpoints[1].Err; err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Errorf("corrupt checkpoint: err %v, want a CRC mismatch", err)
+	}
+	if ck := rep.Checkpoints[2]; ck.Err != nil || ck.Bytes != int64(len(valid)) {
+		t.Errorf("valid checkpoint: bytes %d err %v, want %d bytes and no error", ck.Bytes, ck.Err, len(valid))
+	}
+
+	// Recovery skips both invalid files and loads seq 2.
+	s, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if seq, _, ok := s.Checkpoint(); !ok || seq != 2 {
+		t.Fatalf("Open loaded seq %d ok=%v, want 2", seq, ok)
+	}
+	if n := s.Stats().Recovery.SkippedCheckpoints; n != 2 {
+		t.Fatalf("skipped %d checkpoints, want 2", n)
+	}
+	if seq, _, ok := s.ReloadCheckpoint(); !ok || seq != 2 {
+		t.Fatalf("ReloadCheckpoint loaded seq %d ok=%v, want 2", seq, ok)
 	}
 }
 

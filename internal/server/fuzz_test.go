@@ -32,6 +32,9 @@ func FuzzServerIngest(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"trajectories":`))
+	for _, c := range decodeCases {
+		f.Add([]byte(c.body))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/trajectories", bytes.NewReader(body))

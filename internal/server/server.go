@@ -385,8 +385,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *sess
 		writeError(w, http.StatusTooManyRequests, "session %q rate limited: ingest QPS budget exhausted", sess.Name())
 		return
 	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodeIngest(r.Body, r.ContentLength)
+	if err != nil {
 		sess.Metrics().IngestRejected.Inc()
 		writeError(w, http.StatusBadRequest, "decode: %v", err)
 		return

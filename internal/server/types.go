@@ -280,7 +280,7 @@ type ErrorResponse struct {
 // toTrajectory converts a DTO into the internal representation,
 // validating segment ids against the graph.
 func (dto TrajectoryDTO) toTrajectory(g *roadnet.Graph) (traj.Trajectory, error) {
-	tr := traj.Trajectory{ID: traj.ID(dto.ID)}
+	tr := traj.Trajectory{ID: traj.ID(dto.ID), Points: make([]traj.Location, 0, len(dto.Points))}
 	for i, p := range dto.Points {
 		if p.Seg < 0 || int(p.Seg) >= g.NumSegments() {
 			return traj.Trajectory{}, fmt.Errorf("trajectory %d point %d: unknown segment %d", dto.ID, i, p.Seg)
