@@ -12,8 +12,9 @@
 // -phasejson with no -exp runs only the fixed phase-timing scenario
 // and writes the per-phase JSON report (the CI bench artifact);
 // -streamjson likewise runs only the steady-state streaming scenario
-// (persistent distance cache on vs off) and -streamguard fails the
-// process unless the cached mode is at least that factor faster;
+// (the cached clusterer against a from-scratch merge) and -streamguard
+// fails the process unless the clusterer is at least that factor
+// faster;
 // -recoveryjson runs only the crash-recovery scenario (durable
 // restart vs cold start, time-to-first-ingest across windows). The
 // scale factor shrinks maps and datasets together (see
@@ -56,8 +57,8 @@ func run(args []string, stdout io.Writer) error {
 		out          = fs.String("out", "results", "directory for SVG artifacts")
 		format       = fs.String("format", "text", "output format: text or md")
 		phaseJSON    = fs.String("phasejson", "", "write the per-phase timing report of the fixed scenario to this JSON path")
-		streamJSON   = fs.String("streamjson", "", "write the steady-state stream-ingest report (cached vs uncached) to this JSON path")
-		streamGuard  = fs.Float64("streamguard", 0, "fail unless the stream-ingest cached/uncached speedup is at least this factor (0 = no guard; implies the stream scenario runs)")
+		streamJSON   = fs.String("streamjson", "", "write the steady-state stream-ingest report (cached clusterer vs from-scratch merge) to this JSON path")
+		streamGuard  = fs.Float64("streamguard", 0, "fail unless the stream-ingest cached/from-scratch speedup is at least this factor (0 = no guard; implies the stream scenario runs)")
 		recoveryJSON = fs.String("recoveryjson", "", "write the crash-recovery report (durable restart vs cold start) to this JSON path")
 		exps         expList
 	)
@@ -138,10 +139,11 @@ func writePhaseTimes(env *experiments.Env, path string, stdout io.Writer) error 
 }
 
 // runStreamIngest runs the fixed steady-state streaming scenario
-// (cached vs uncached), optionally writes the JSON report CI uploads
-// as BENCH_stream_ingest.json, and optionally enforces a minimum
-// cached/uncached speedup — the CI bench-smoke guard against the
-// distance cache silently regressing into a no-op.
+// (cached clusterer vs from-scratch merge), optionally writes the JSON
+// report CI uploads as BENCH_stream_ingest.json, and optionally
+// enforces a minimum cached/from-scratch speedup — the CI bench-smoke
+// guard against the distance cache or the maintained ε-graph silently
+// regressing into a no-op.
 func runStreamIngest(env *experiments.Env, path string, guard float64, stdout io.Writer) error {
 	start := time.Now()
 	rep, err := experiments.StreamIngest(env)
@@ -149,10 +151,10 @@ func runStreamIngest(env *experiments.Env, path string, guard float64, stdout io
 		return err
 	}
 	for _, m := range rep.Modes {
-		fmt.Fprintf(stdout, "stream-ingest %-9s %8.2f ms/ingest  (%d SP queries, %d cache hits / %d misses)\n",
+		fmt.Fprintf(stdout, "stream-ingest %-12s %8.2f ms/ingest  (%d SP queries, %d cache hits / %d misses)\n",
 			m.Config, m.PerIngestMs, m.SPQueries, m.CacheHits, m.CacheMisses)
 	}
-	fmt.Fprintf(stdout, "stream-ingest speedup: %.2fx cached over uncached\n", rep.Speedup)
+	fmt.Fprintf(stdout, "stream-ingest speedup: %.2fx cached over from-scratch\n", rep.Speedup)
 	if path != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

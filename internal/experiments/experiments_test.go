@@ -200,3 +200,26 @@ func TestTableFormatting(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamIngestSmoke pins the stream-ingest report's shape: a cached
+// row for the clusterer and a from-scratch row for the merge it saves,
+// both over the same clusterings.
+func TestStreamIngestSmoke(t *testing.T) {
+	rep, err := StreamIngest(tinyEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Modes) != 2 || rep.Modes[0].Config != "cached" || rep.Modes[1].Config != "from_scratch" {
+		t.Fatalf("modes %+v, want cached then from_scratch", rep.Modes)
+	}
+	cached, scratch := rep.Modes[0], rep.Modes[1]
+	if cached.SteadyIngests != scratch.SteadyIngests || cached.Clusters != scratch.Clusters {
+		t.Errorf("rows disagree: %+v vs %+v", cached, scratch)
+	}
+	if scratch.SPQueries <= cached.SPQueries {
+		t.Errorf("from-scratch merge issued %d SP queries, no more than the cached clusterer's %d", scratch.SPQueries, cached.SPQueries)
+	}
+	if rep.Speedup <= 0 {
+		t.Errorf("speedup %v", rep.Speedup)
+	}
+}

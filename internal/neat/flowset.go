@@ -116,8 +116,8 @@ func (p *Pipeline) BuildFlowSet(ctx context.Context, kept *ClusterSet, frags []t
 }
 
 // RunFlowSet answers one read from a flow set: past base level it
-// filters the flows by cfg.Flow.MinCard, and at opt level it runs
-// Phase 3 over the survivors through the FromFlows refine plan. The
+// filters the flows by cfg.Flow.MinCard, and at opt level it runs the
+// refine stage over the survivors under a "neat.merge" root span. The
 // result carries no base clusters (fs.BaseClusters counts them), no
 // fragment count and only the Phase 3 timing. It counts as one run.
 func (p *Pipeline) RunFlowSet(ctx context.Context, fs *FlowSet, cfg Config, level Level) (*Result, error) {
@@ -132,16 +132,17 @@ func (p *Pipeline) RunFlowSet(ctx context.Context, fs *FlowSet, cfg Config, leve
 		res.Flows, res.FilteredFlows = filterFlows(fs.Flows, cfg.Flow.MinCard)
 	}
 	if level >= LevelOpt {
-		plan, err := NewPlan(cfg, LevelOpt, FromFlows, Exec{})
-		if err != nil {
+		if err := cfg.Refine.Validate(); err != nil {
 			return nil, err
 		}
-		ref, err := p.execute(ctx, plan, Input{Flows: res.Flows})
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res.Clusters, res.RefineStats, res.Trace = ref.Clusters, ref.RefineStats, ref.Trace
-		res.Timing.Phase3 = ref.Timing.Phase3
+		res.Trace = p.newRunSpan("neat.merge", LevelOpt)
+		if err := (RefineStage{Cfg: cfg.Refine}).run(p, &state{ctx: ctx, res: res}); err != nil {
+			return nil, err
+		}
+		res.Trace.End()
 	}
 	p.recordRun(res)
 	return res, nil

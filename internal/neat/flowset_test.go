@@ -241,3 +241,34 @@ func TestFlowSetMetrics(t *testing.T) {
 		t.Fatalf("reads moved neat_fragments_total to %d", got)
 	}
 }
+
+// TestMergeFlowsTraceName pins the trace of a read's Phase 3: an
+// opt-level RunFlowSet roots its span tree at "neat.merge", distinct
+// from a full run's "neat.run", with the refine stage's spans under it.
+func TestMergeFlowsTraceName(t *testing.T) {
+	g, ds := genInstance(t, 11)
+	p := NewPipeline(g)
+	p.EnableTracing(true)
+	frags, err := p.Partition(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}, Refine: RefineConfig{Epsilon: 800}}
+	fs, _, err := p.BuildFlowSet(ctx, nil, frags, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.RunFlowSet(ctx, fs, cfg, LevelOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace.Name() != "neat.merge" {
+		t.Errorf("merge root span %q, want neat.merge", res.Trace.Name())
+	}
+	for _, name := range []string{"phase3.refine", "phase3.eps_graph", "phase3.dbscan"} {
+		if res.Trace.Find(name) == nil {
+			t.Errorf("merge trace lacks %s", name)
+		}
+	}
+}

@@ -14,14 +14,14 @@ import (
 // paper's dataflow — partition → base clusters → flow merge → refine —
 // used to be hard-coded three separate times (Run, RunParallel,
 // RunFragments) and re-wrapped by hand in stream and server; it now
-// lives in exactly one place. Every entry point is a thin plan over
+// lives in exactly one place. Every entry point is a thin layer over
 // this engine:
 //
 //	Run            = NewPlan(cfg, level, FromDataset,   Exec{})
 //	RunParallel    = NewPlan(cfg, level, FromDataset,   Exec{Workers: w})
 //	RunFragments   = NewPlan(cfg, level, FromFragments, Exec{})
-//	RunFlowSet     = a minCard filter + NewPlan(cfg, LevelOpt, FromFlows, Exec{})
-//	stream.Ingest  = a FromDataset flow plan + a FromFlows merge plan
+//	RunFlowSet     = a minCard filter + RefineStage{Cfg: cfg.Refine}
+//	stream.Ingest  = NewPlan(cfg, LevelFlow, FromDataset, Exec{}) + an EpsGraph merge
 //
 // Each stage owns its obs span and work annotations, charges its phase
 // timer, and carries a deterministic contract: for fixed inputs the
@@ -39,9 +39,6 @@ const (
 	// incremental/online entry of §III-C): the partition stage is
 	// skipped.
 	FromFragments
-	// FromFlows starts at an existing flow set and runs refinement
-	// only — the standing-set merge of the streaming mode.
-	FromFlows
 )
 
 // String implements fmt.Stringer.
@@ -51,8 +48,6 @@ func (in PlanInput) String() string {
 		return "dataset"
 	case FromFragments:
 		return "fragments"
-	case FromFlows:
-		return "flows"
 	default:
 		return fmt.Sprintf("input(%d)", uint8(in))
 	}
@@ -73,7 +68,6 @@ type Exec struct {
 type Input struct {
 	Dataset   traj.Dataset
 	Fragments []traj.TFragment
-	Flows     []*FlowCluster
 }
 
 // state threads the dataflow through a plan's stages.
@@ -189,25 +183,19 @@ func (s FlowMergeStage) run(p *Pipeline, st *state) error {
 // predicate and deterministic DBSCAN. Cfg.Workers picks the ε-graph
 // builder — the serial scan, or the batched one-to-many builder for the
 // Dijkstra kernel at finite ε; both yield the identical clustering.
+// It refines the flows in the result so far: Phase 2's output, or the
+// filtered flow set RunFlowSet puts there.
 type RefineStage struct {
 	Cfg RefineConfig
-	// FromFlows makes the stage consume the plan input's flow set
-	// instead of the Phase 2 output (the streaming merge).
-	FromFlows bool
 }
 
 // Name implements Stage.
 func (s RefineStage) Name() string { return "refine" }
 
 func (s RefineStage) run(p *Pipeline, st *state) error {
-	flows := st.res.Flows
-	if s.FromFlows {
-		flows = st.in.Flows
-		st.res.Flows = flows
-	}
 	sp := st.res.Trace.StartChild("phase3.refine")
 	start := time.Now()
-	clusters, stats, err := RefineFlowsCtx(st.ctx, p.g, flows, s.Cfg)
+	clusters, stats, err := RefineFlowsCtx(st.ctx, p.g, st.res.Flows, s.Cfg)
 	if err != nil {
 		return fmt.Errorf("neat: phase 3 refinement: %w", err)
 	}
@@ -237,16 +225,6 @@ func NewPlan(cfg Config, level Level, in PlanInput, ex Exec) (*Plan, error) {
 		return nil, fmt.Errorf("neat: unknown level %d", level)
 	}
 	pl := &Plan{level: level, input: in}
-	if in == FromFlows {
-		if level < LevelOpt {
-			return nil, fmt.Errorf("neat: a flow-input plan needs level opt-NEAT, got %s", level)
-		}
-		if err := cfg.Refine.Validate(); err != nil {
-			return nil, err
-		}
-		pl.stages = []Stage{RefineStage{Cfg: cfg.Refine, FromFlows: true}}
-		return pl, nil
-	}
 	if in == FromDataset {
 		pl.stages = append(pl.stages, PartitionStage{Workers: ex.Workers})
 	}
@@ -286,11 +264,8 @@ func (pl *Plan) String() string {
 	return b.String()
 }
 
-// RunPlan executes a plan over the given input. Full plans (dataset or
-// fragment input) record into the pipeline's metrics registry exactly
-// like the classic entry points; flow-input merge plans produce spans
-// and timings but stay metrics-silent, matching the historical
-// semantics of the streaming merge.
+// RunPlan executes a plan over the given input and records it into the
+// pipeline's metrics registry as one run.
 func (p *Pipeline) RunPlan(plan *Plan, in Input) (*Result, error) {
 	return p.RunPlanCtx(context.Background(), plan, in)
 }
@@ -303,26 +278,8 @@ func (p *Pipeline) RunPlan(plan *Plan, in Input) (*Result, error) {
 // and the ctx error is returned — an identical re-run with a live
 // context produces output byte-identical to a never-cancelled run.
 func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Result, error) {
-	res, err := p.execute(ctx, plan, in)
-	if err != nil {
-		return nil, err
-	}
-	if plan.input != FromFlows {
-		p.recordPhases12(res)
-		p.recordRun(res)
-	}
-	return res, nil
-}
-
-// execute runs the plan's stages and closes its root span; it records
-// no metrics, so callers decide what the run is charged as.
-func (p *Pipeline) execute(ctx context.Context, plan *Plan, in Input) (*Result, error) {
 	res := &Result{Level: plan.level}
-	name := "neat.run"
-	if plan.input == FromFlows {
-		name = "neat.merge"
-	}
-	res.Trace = p.newRunSpan(name, plan.level)
+	res.Trace = p.newRunSpan("neat.run", plan.level)
 	st := &state{ctx: ctx, in: in, res: res}
 	for _, stage := range plan.stages {
 		if err := ctx.Err(); err != nil {
@@ -335,5 +292,7 @@ func (p *Pipeline) execute(ctx context.Context, plan *Plan, in Input) (*Result, 
 		}
 	}
 	res.Trace.End()
+	p.recordPhases12(res)
+	p.recordRun(res)
 	return res, nil
 }

@@ -1,11 +1,11 @@
 package neat
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/proptest"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -32,7 +32,6 @@ func TestPlanComposition(t *testing.T) {
 		{LevelOpt, FromDataset, []string{"partition", "base_clusters", "flow_merge", "refine"}},
 		{LevelBase, FromFragments, []string{"base_clusters"}},
 		{LevelOpt, FromFragments, []string{"base_clusters", "flow_merge", "refine"}},
-		{LevelOpt, FromFlows, []string{"refine"}},
 	}
 	for _, c := range cases {
 		plan, err := NewPlan(cfg, c.level, c.in, Exec{})
@@ -54,7 +53,8 @@ func TestPlanComposition(t *testing.T) {
 
 // TestPlanValidationScoping pins that validation covers exactly the
 // stages a plan composes: a flow-NEAT plan must not demand a valid
-// refinement config, while opt-NEAT and merge plans must.
+// refinement config, while an opt-NEAT plan must. A flow-set read
+// follows the same rule.
 func TestPlanValidationScoping(t *testing.T) {
 	noRefine := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}} // zero Refine: invalid for LevelOpt
 	if _, err := NewPlan(noRefine, LevelFlow, FromDataset, Exec{}); err != nil {
@@ -63,11 +63,13 @@ func TestPlanValidationScoping(t *testing.T) {
 	if _, err := NewPlan(noRefine, LevelOpt, FromDataset, Exec{}); err == nil {
 		t.Error("opt-NEAT plan accepted a zero refine config")
 	}
-	if _, err := NewPlan(noRefine, LevelOpt, FromFlows, Exec{}); err == nil {
-		t.Error("merge plan accepted a zero refine config")
+	g, _ := genInstance(t, 1)
+	p, fs := NewPipeline(g), &FlowSet{}
+	if _, err := p.RunFlowSet(context.Background(), fs, noRefine, LevelFlow); err != nil {
+		t.Errorf("flow-NEAT flow-set read rejected a zero refine config: %v", err)
 	}
-	if _, err := NewPlan(DefaultConfig(), LevelFlow, FromFlows, Exec{}); err == nil {
-		t.Error("merge plan accepted level flow-NEAT")
+	if _, err := p.RunFlowSet(context.Background(), fs, noRefine, LevelOpt); err == nil {
+		t.Error("opt-NEAT flow-set read accepted a zero refine config")
 	}
 	if _, err := NewPlan(DefaultConfig(), Level(9), FromDataset, Exec{}); err == nil {
 		t.Error("unknown level accepted")
@@ -154,59 +156,5 @@ func TestRunParallelMatchesRunBytes(t *testing.T) {
 				t.Fatalf("seed %d %s: parallel output diverges from the serial run", seed, level)
 			}
 		}
-	}
-}
-
-// TestMergePlanMetricsSilent pins the run-counting contract: full
-// plans count as pipeline runs, flow-input merge plans do not (the
-// streaming clusterer's per-batch run count must stay one per ingest).
-func TestMergePlanMetricsSilent(t *testing.T) {
-	g, ds := genInstance(t, 5)
-	reg := obs.NewRegistry()
-	p := NewPipeline(g)
-	p.Instrument(reg)
-	cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}, Refine: RefineConfig{Epsilon: 800}}
-	res, err := p.Run(ds, cfg, LevelFlow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("neat_runs_total").Value(); got != 1 {
-		t.Fatalf("neat_runs_total = %d after one run", got)
-	}
-	plan, err := NewPlan(cfg, LevelOpt, FromFlows, Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunPlan(plan, Input{Flows: res.Flows}); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("neat_runs_total").Value(); got != 1 {
-		t.Fatalf("neat_runs_total = %d after merges; merge plans must not count as runs", got)
-	}
-}
-
-// TestMergeFlowsTraceName pins the merge plan's distinct root span.
-func TestMergeFlowsTraceName(t *testing.T) {
-	g, ds := genInstance(t, 11)
-	p := NewPipeline(g)
-	p.EnableTracing(true)
-	cfg := Config{Flow: FlowConfig{Weights: WeightsFlowOnly}, Refine: RefineConfig{Epsilon: 800}}
-	res, err := p.Run(ds, cfg, LevelFlow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(cfg, LevelOpt, FromFlows, Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := p.RunPlan(plan, Input{Flows: res.Flows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mres.Trace.Name() != "neat.merge" {
-		t.Errorf("merge root span %q, want neat.merge", mres.Trace.Name())
-	}
-	if mres.Trace.Find("phase3.refine") == nil {
-		t.Error("merge trace lacks phase3.refine")
 	}
 }

@@ -6,18 +6,19 @@ import (
 
 // BenchmarkStreamIngest measures the steady-state per-batch cost of the
 // windowed incremental clusterer — the §III-C online path — with the
-// persistent distance cache on (the default) and off (legacy
-// from-scratch merge). The window is warmed to capacity before the
-// timer starts, so every measured ingest evicts one batch and admits
-// one: the cached mode's win is the point of the cross-ingest cache.
+// persistent distance cache on (the default) and off (every pair that
+// involves a new flow recomputes its distances). The window is warmed
+// to capacity before the timer starts, so every measured ingest evicts
+// one batch and admits one: the cached mode's win is the point of the
+// cross-ingest cache.
 func BenchmarkStreamIngest(b *testing.B) {
 	g, ds := streamSetup(b)
 	modes := []struct {
 		name    string
 		entries int
 	}{
-		{"cached", 0},    // persistent cache + incremental ε-graph
-		{"uncached", -1}, // legacy full merge, no cache
+		{"cached", 0},    // persistent cache + maintained ε-graph
+		{"uncached", -1}, // maintained ε-graph, no cache
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {

@@ -28,44 +28,47 @@ func renderClusters(cs []*neat.TrajectoryCluster) string {
 	return b.String()
 }
 
-// TestIncrementalMatchesLegacy is the streaming differential: one
-// clusterer using the persistent cache + maintained ε-graph (the
-// default) and one on the legacy from-scratch merge ingest the same
-// batches, and every snapshot's clustering must match exactly — across
-// window sizes (1 forces full churn every ingest) and Phase 3 worker
-// counts (the legacy side then uses the batched parallel builder).
+// TestIncrementalMatchesLegacy is the oracle of the stream's one merge:
+// after every batch, the snapshot's clusters must render byte-identical
+// to a from-scratch neat.RefineFlows over the standing flows without a
+// cache — the merge the clusterer ran before it maintained its
+// ε-graph. It covers window sizes (1 forces full churn every ingest),
+// the clusterer with and without its distance cache, and Phase 3
+// worker counts: workers=2 builds the oracle's graph with the batched
+// builder, and must not change the clusterer's serial merge.
 func TestIncrementalMatchesLegacy(t *testing.T) {
 	g, ds := streamSetup(t)
 	for _, window := range []int{0, 1, 2, 3} {
 		for _, workers := range []int{0, 2} {
 			t.Run(fmt.Sprintf("window=%d/workers=%d", window, workers), func(t *testing.T) {
-				mk := func(cacheEntries int) *Clusterer {
-					cfg := streamConfig()
-					cfg.Window = window
-					cfg.Neat.Refine.Workers = workers
-					cfg.CacheEntries = cacheEntries
-					c, err := New(g, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return c
-				}
-				inc, leg := mk(0), mk(-1)
-				for i, b := range batches(ds, 5) {
-					si, err := inc.Ingest(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sl, err := leg.Ingest(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := renderClusters(si.Clusters), renderClusters(sl.Clusters); got != want {
-						t.Fatalf("batch %d: incremental clustering diverged from legacy\nincremental:\n%s\nlegacy:\n%s", i, got, want)
-					}
-					if si.StandingFlows != sl.StandingFlows || si.EvictedFlows != sl.EvictedFlows || si.NewFlows != sl.NewFlows {
-						t.Fatalf("batch %d: accounting diverged (%+v vs %+v)", i, si, sl)
-					}
+				for _, cacheEntries := range []int{0, -1} {
+					t.Run(fmt.Sprintf("cache=%d", cacheEntries), func(t *testing.T) {
+						cfg := streamConfig()
+						cfg.Window = window
+						cfg.Neat.Refine.Workers = workers
+						cfg.CacheEntries = cacheEntries
+						c, err := New(g, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, b := range batches(ds, 5) {
+							snap, err := c.Ingest(b)
+							if err != nil {
+								t.Fatal(err)
+							}
+							standing := c.StandingFlows()
+							if snap.StandingFlows != len(standing) {
+								t.Fatalf("batch %d: snapshot counts %d standing flows, clusterer holds %d", i, snap.StandingFlows, len(standing))
+							}
+							want, _, err := neat.RefineFlows(g, standing, cfg.Neat.Refine)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got, want := renderClusters(snap.Clusters), renderClusters(want); got != want {
+								t.Fatalf("batch %d: maintained merge diverged from a from-scratch one\ngot:\n%s\nwant:\n%s", i, got, want)
+							}
+						}
+					})
 				}
 			})
 		}

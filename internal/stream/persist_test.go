@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/persist"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -21,7 +22,7 @@ func durableConfig(dir string, opts persist.Options) Config {
 
 // TestCrashRecoveryByteIdentity is the acceptance sweep: across 24
 // seeds varying the checkpoint cadence, window size, segment size, and
-// merge mode, a clusterer is killed mid-stream (Abort — no flush, no
+// distance cache, a clusterer is killed mid-stream (Abort — no flush, no
 // final checkpoint), its WAL is truncated at a seeded kill offset —
 // exactly at a record boundary, mid-record, or not at all — and then
 // reopened. Recovery must restore exactly the batches the surviving
@@ -32,7 +33,7 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	g, ds := streamSetup(t)
 	bs := batches(ds, 5)
 
-	// Uncrashed controls, one per window/merge-mode combination; the
+	// Uncrashed controls, one per window/cache combination; the
 	// per-batch canonical renders are the oracle.
 	controls := map[string][]string{}
 	control := func(window, cacheEntries int) []string {
@@ -66,7 +67,7 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 			window := seed % 3
 			cacheEntries := 0
 			if seed%8 == 7 {
-				cacheEntries = -1 // legacy from-scratch merge path
+				cacheEntries = -1 // no distance cache
 			}
 			opts := persist.Options{
 				Fsync:           persist.FsyncAlways,
@@ -160,6 +161,102 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 			}
 			if err := c2.Close(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRecoveryFromDirtyCheckpoint pins recovery from a checkpoint that
+// holds no ε-graph adjacency rows. Close writes one after a failed
+// merge has left the maintained graph dirty; the reopened clusterer
+// must rebuild the graph on its next merge, and every snapshot after
+// the reopen must equal a never-faulted control's.
+func TestRecoveryFromDirtyCheckpoint(t *testing.T) {
+	g, ds := streamSetup(t)
+	bs := batches(ds, 5)
+	const failAt = 2 // the batch whose merge fails
+	for _, cacheEntries := range []int{0, -1} {
+		t.Run(fmt.Sprintf("cache=%d", cacheEntries), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir, persist.Options{CheckpointEvery: -1})
+			cfg.Window = 2
+			cfg.CacheEntries = cacheEntries
+
+			ctrl, err := New(g, Config{Neat: cfg.Neat, Window: cfg.Window, CacheEntries: cacheEntries})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, b := range bs {
+				snap, err := ctrl.Ingest(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, renderClusters(snap.Clusters))
+			}
+
+			in := fault.New(fault.Config{Seed: 3, Points: map[fault.Point]fault.Spec{
+				fault.SPQuery: {ErrProb: 1, MaxErrs: 1},
+			}})
+			in.SetEnabled(false)
+			fcfg := cfg
+			fcfg.Fault = in
+			c, err := New(g, fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range bs[:failAt] {
+				snap, err := c.Ingest(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := renderClusters(snap.Clusters); got != want[i] {
+					t.Fatalf("batch %d diverged from control\ngot:\n%s\nwant:\n%s", i, got, want[i])
+				}
+			}
+			in.SetEnabled(true)
+			if _, err := c.Ingest(bs[failAt]); !fault.IsInjected(err) {
+				t.Fatalf("merge of batch %d: err = %v, want an injected SP fault", failAt, err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			store, err := persist.Open(persist.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, payload, ok := store.Checkpoint()
+			if !ok || seq != failAt {
+				t.Fatalf("checkpoint at seq %d (ok=%v), want %d", seq, ok, failAt)
+			}
+			st, err := persist.DecodeStreamState(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Adjacency != nil {
+				t.Fatal("checkpoint written after a failed merge carries adjacency rows")
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			c2, err := New(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			if c2.Batches() != failAt {
+				t.Fatalf("recovered %d batches, want %d", c2.Batches(), failAt)
+			}
+			for i := failAt; i < len(bs); i++ {
+				snap, err := c2.Ingest(bs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := renderClusters(snap.Clusters); got != want[i] {
+					t.Fatalf("batch %d after recovery diverged from control\ngot:\n%s\nwant:\n%s", i, got, want[i])
+				}
 			}
 		})
 	}

@@ -37,25 +37,21 @@ var ErrClosed = errors.New("stream: clusterer is closed")
 // Config parameterizes a Clusterer.
 type Config struct {
 	// Neat carries the clustering parameters for all three phases.
+	// Neat.Refine.Workers does not affect the merge: the maintained
+	// ε-graph evaluates its pairs serially (see neat.EpsGraph).
 	Neat neat.Config
 	// Window is the number of most recent batches whose flows are kept;
 	// 0 keeps everything.
 	Window int
 	// CacheEntries sizes the persistent junction-pair distance cache
-	// (internal/distcache) the clusterer keeps across ingests, and
-	// selects the Phase 3 merge mode:
-	//
-	//	0 (default) — cache with distcache.DefaultEntries budget, and
-	//	  the ε-graph is maintained incrementally across ingests
-	//	  (adjacency rows of surviving flows are kept; only pairs
-	//	  involving a new flow are evaluated);
-	//	>0 — the same, with an explicit entry budget;
-	//	<0 — no cache, and every merge rebuilds the ε-graph from
-	//	  scratch (the pre-cache full-merge path; benchmarks compare
-	//	  against it).
-	//
-	// Clustering output is byte-identical in every mode; only the
-	// steady-state ingest cost changes.
+	// (internal/distcache) the clusterer keeps across ingests: 0 (the
+	// default) is distcache.DefaultEntries, >0 an explicit entry
+	// budget, and <0 no cache. Every setting keeps the ε-graph
+	// maintained across ingests (adjacency rows of surviving flows are
+	// kept; only pairs involving a new flow are evaluated). Without the
+	// cache those pairs recompute their distances. Clustering output is
+	// byte-identical in every mode; only the steady-state ingest cost
+	// changes.
 	CacheEntries int
 	// Obs is the metrics registry the clusterer records into: per-batch
 	// ingest latency, new/evicted flow counters, and the standing-flow
@@ -111,10 +107,10 @@ type Snapshot struct {
 	StandingFlows int
 	// Clusters is the current clustering of the standing flows.
 	Clusters []*neat.TrajectoryCluster
-	// RefineStats is the Phase 3 work of this merge. In incremental
-	// mode (Config.CacheEntries >= 0) Pairs counts only the pairs this
-	// ingest actually evaluated — those involving a new flow — not the
-	// full standing-set pair count a from-scratch merge would scan.
+	// RefineStats is the Phase 3 work of this merge. Pairs counts only
+	// the pairs this ingest actually evaluated — those involving a new
+	// flow — not the full standing-set pair count a from-scratch merge
+	// would scan.
 	RefineStats neat.RefineStats
 	// Timing is this ingest's per-phase breakdown: Phase1/Phase2 from
 	// the batch run, Phase3 from the standing-set merge.
@@ -133,17 +129,14 @@ type Clusterer struct {
 
 	// Every ingest runs the Phases 1-2 plan over the new batch, then
 	// the Phase 3 merge over the standing flow set (§III-C's
-	// incremental mode). The merge is either the maintained ε-graph
-	// (eps, the default) or a from-scratch FromFlows plan (mergePlan,
-	// when Config.CacheEntries < 0).
+	// incremental mode) on the maintained ε-graph.
 	ingestPlan *neat.Plan
-	mergePlan  *neat.Plan
 	eps        *neat.EpsGraph
 
 	// cache persists junction-pair network distances across ingests;
-	// nil when Config.CacheEntries < 0.
-	cache     *distcache.Cache
-	refineCfg neat.RefineConfig // Neat.Refine with the cache attached
+	// nil when Config.CacheEntries < 0. cfg.Neat.Refine carries it,
+	// along with Config.Fault unless the refine config pins its own.
+	cache *distcache.Cache
 
 	// store is the durability layer (nil without Config.Persist);
 	// lastCkpt is the batch index the newest checkpoint covers, and
@@ -213,19 +206,11 @@ func New(g *roadnet.Graph, cfg Config) (*Clusterer, error) {
 		cache.InjectFaults(cfg.Fault)
 	}
 	cfg.Fault.Instrument(cfg.Obs)
-	refineCfg := cfg.Neat.Refine
-	refineCfg.Cache = cache
-	if refineCfg.Fault == nil {
-		refineCfg.Fault = cfg.Fault
+	cfg.Neat.Refine.Cache = cache
+	if cfg.Neat.Refine.Fault == nil {
+		cfg.Neat.Refine.Fault = cfg.Fault
 	}
-	cfg.Neat.Refine = refineCfg
-	var mergePlan *neat.Plan
-	var eps *neat.EpsGraph
-	if cache != nil {
-		eps, err = neat.NewEpsGraph(g, refineCfg)
-	} else {
-		mergePlan, err = neat.NewPlan(cfg.Neat, neat.LevelOpt, neat.FromFlows, neat.Exec{})
-	}
+	eps, err := neat.NewEpsGraph(g, cfg.Neat.Refine)
 	if err != nil {
 		return nil, err
 	}
@@ -237,10 +222,8 @@ func New(g *roadnet.Graph, cfg Config) (*Clusterer, error) {
 		pipeline:   pipeline,
 		cfg:        cfg,
 		ingestPlan: ingestPlan,
-		mergePlan:  mergePlan,
 		eps:        eps,
 		cache:      cache,
-		refineCfg:  refineCfg,
 		m: streamMetrics{
 			batches:   cfg.Obs.Counter("stream_batches_total"),
 			newFlows:  cfg.Obs.Counter("stream_new_flows_total"),
@@ -309,18 +292,16 @@ func (c *Clusterer) restoreState(st persist.StreamState) error {
 	}
 	c.batch = st.Batch
 	c.lastCkpt = st.Batch
-	if c.eps != nil {
-		if st.Adjacency != nil {
-			eg, err := neat.RestoreEpsGraph(c.g, c.refineCfg, flows, st.Adjacency)
-			if err != nil {
-				return err
-			}
-			c.eps = eg
-		} else {
-			// The checkpoint was taken while the graph was dirty; the
-			// next merge rebuilds it over the full standing set.
-			c.epsDirty = true
+	if st.Adjacency != nil {
+		eg, err := neat.RestoreEpsGraph(c.g, c.cfg.Neat.Refine, flows, st.Adjacency)
+		if err != nil {
+			return err
 		}
+		c.eps = eg
+	} else {
+		// The checkpoint was taken while the graph was dirty; the next
+		// merge rebuilds it over the full standing set.
+		c.epsDirty = true
 	}
 	if c.cache != nil && len(st.Cache) > 0 && st.CacheScope == neat.CacheScope(c.g, c.cfg.Neat.Refine) {
 		c.cache.SetScope(st.CacheScope)
@@ -387,19 +368,22 @@ func (c *Clusterer) Breaker() *guard.Breaker { return c.breaker }
 
 // ingest is the containment boundary: a panic anywhere in the batch
 // run, merge, or durability path is caught here, the pre-batch state
-// restored (the ε-graph conservatively marked dirty — the next merge
-// rebuilds it), and the panic surfaced as a typed *guard.PanicError.
+// restored, and the panic surfaced as a typed *guard.PanicError.
 func (c *Clusterer) ingest(ctx context.Context, batch traj.Dataset) (snap Snapshot, err error) {
 	start := time.Now()
 	prevStanding := append([]flowEntry(nil), c.standing...)
 	prevBatch := c.batch
+	// rollback restores the pre-batch state. The ε-graph may already
+	// have been edited, so it is marked dirty: the next merge rebuilds
+	// it over the restored standing set.
+	rollback := func() {
+		c.standing = prevStanding
+		c.batch = prevBatch
+		c.epsDirty = true
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			c.standing = prevStanding
-			c.batch = prevBatch
-			if c.eps != nil {
-				c.epsDirty = true
-			}
+			rollback()
 			snap = Snapshot{}
 			err = fmt.Errorf("stream: batch %d: %w", prevBatch,
 				&guard.PanicError{Value: r, Stack: debug.Stack()})
@@ -430,7 +414,7 @@ func (c *Clusterer) ingest(ctx context.Context, batch traj.Dataset) (snap Snapsh
 	root.Adopt(res.Trace)
 	snap = Snapshot{Batch: c.batch, NewFlows: len(res.Flows), Timing: res.Timing}
 	// The merge below can fail (cancellation, injected SP faults);
-	// prevStanding/prevBatch — captured at entry — roll everything back.
+	// rollback undoes everything from here on.
 	// Evict flows older than the window. The standing list is in batch
 	// order (each ingest appends), so the cutoff removes a prefix —
 	// which is exactly the edit the maintained ε-graph supports.
@@ -451,30 +435,9 @@ func (c *Clusterer) ingest(ctx context.Context, batch traj.Dataset) (snap Snapsh
 	c.batch++
 	snap.StandingFlows = len(c.standing)
 
-	if c.eps != nil {
-		if err := c.mergeIncremental(ctx, &snap, res.Flows, evicted, root); err != nil {
-			c.standing = prevStanding
-			c.batch = prevBatch
-			// The graph may have already dropped the evicted prefix; it
-			// no longer mirrors the restored standing set.
-			c.epsDirty = true
-			return Snapshot{}, fmt.Errorf("stream: merge after batch %d: %w", snap.Batch, err)
-		}
-	} else {
-		flows := make([]*neat.FlowCluster, len(c.standing))
-		for i, e := range c.standing {
-			flows[i] = e.flow
-		}
-		mres, err := c.pipeline.RunPlanCtx(ctx, c.mergePlan, neat.Input{Flows: flows})
-		if err != nil {
-			c.standing = prevStanding
-			c.batch = prevBatch
-			return Snapshot{}, fmt.Errorf("stream: merge after batch %d: %w", snap.Batch, err)
-		}
-		root.Adopt(mres.Trace)
-		snap.Clusters = mres.Clusters
-		snap.RefineStats = mres.RefineStats
-		snap.Timing.Phase3 = mres.Timing.Phase3
+	if err := c.merge(ctx, &snap, res.Flows, evicted, root); err != nil {
+		rollback()
+		return Snapshot{}, fmt.Errorf("stream: merge after batch %d: %w", snap.Batch, err)
 	}
 	// The batch is committed in memory; make it durable before
 	// acknowledging. An append failure (disk full, injected fault)
@@ -482,11 +445,7 @@ func (c *Clusterer) ingest(ctx context.Context, batch traj.Dataset) (snap Snapsh
 	// acknowledges a batch the log does not hold.
 	if c.store != nil && !c.recovering {
 		if err := c.store.AppendBatch(uint64(snap.Batch), batch); err != nil {
-			c.standing = prevStanding
-			c.batch = prevBatch
-			if c.eps != nil {
-				c.epsDirty = true
-			}
+			rollback()
 			return Snapshot{}, fmt.Errorf("stream: wal append batch %d: %w", snap.Batch, err)
 		}
 	}
@@ -590,7 +549,7 @@ func (c *Clusterer) checkpointState() persist.StreamState {
 			st.Entries[i] = persist.StreamEntry{Batch: e.batch, Flow: e.flow}
 		}
 	}
-	if c.eps != nil && !c.epsDirty {
+	if !c.epsDirty {
 		st.Adjacency = c.eps.Adjacency()
 	}
 	if on, limit := c.store.PersistCache(); on && c.cache != nil {
@@ -606,22 +565,24 @@ func (c *Clusterer) checkpointState() persist.StreamState {
 	return st
 }
 
-// mergeIncremental is the default Phase 3 merge: instead of rebuilding
-// the ε-graph over the whole standing set, it drops the evicted prefix
-// from the maintained graph, evaluates only the pairs that involve a
-// flow from this batch (their distances mostly hitting the persistent
-// cache), and re-runs the deterministic DBSCAN pass. The result is
-// byte-identical to the from-scratch merge — see neat.EpsGraph.
+// merge is the Phase 3 merge: instead of rebuilding the ε-graph over
+// the whole standing set, it drops the evicted prefix from the
+// maintained graph, evaluates only the pairs that involve a flow from
+// this batch (their distances mostly hitting the persistent cache),
+// and re-runs the deterministic DBSCAN pass. The result is
+// byte-identical to a from-scratch neat.RefineFlows over the standing
+// set — see neat.EpsGraph.
 //
-// When a previous merge failed mid-edit (epsDirty), the maintained
+// When a previous ingest failed mid-edit, or the clusterer recovered
+// from a checkpoint without adjacency rows (epsDirty), the maintained
 // graph is rebuilt from empty over the full standing set first —
 // structurally the same scan a from-scratch build runs, so the
 // recovered graph is byte-identical to an incrementally maintained one
 // (that ingest's Pairs counter covers the whole standing set).
-func (c *Clusterer) mergeIncremental(ctx context.Context, snap *Snapshot, newFlows []*neat.FlowCluster, evicted int, root *obs.Span) error {
+func (c *Clusterer) merge(ctx context.Context, snap *Snapshot, newFlows []*neat.FlowCluster, evicted int, root *obs.Span) error {
 	var stats neat.RefineStats
 	if c.epsDirty {
-		fresh, err := neat.NewEpsGraph(c.g, c.refineCfg)
+		fresh, err := neat.NewEpsGraph(c.g, c.cfg.Neat.Refine)
 		if err != nil {
 			return err
 		}
@@ -650,14 +611,13 @@ func (c *Clusterer) mergeIncremental(ctx context.Context, snap *Snapshot, newFlo
 	snap.RefineStats = stats
 	snap.Timing.Phase3 = stats.GraphTime + stats.ClusterTime
 	if root != nil {
-		// Synthesize the merge span the FromFlows plan would have
-		// produced, so traced snapshots keep the same shape in both
-		// merge modes.
+		// The same neat.merge → phase3.refine shape a flow-set read
+		// traces (neat.Pipeline.RunFlowSet).
 		m := obs.StartSpan("neat.merge")
 		m.Annotate("level", neat.LevelOpt)
 		m.Annotate("incremental", true)
 		sp := m.StartChild("phase3.refine")
-		neat.AnnotateRefineSpan(sp, c.refineCfg, stats, len(clusters))
+		neat.AnnotateRefineSpan(sp, c.cfg.Neat.Refine, stats, len(clusters))
 		sp.End()
 		m.End()
 		root.Adopt(m)
