@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	neatserver -map map.csv [-addr :8080] [-datanodes 4] [-workers -1] [-cache-entries 262144]
+//	neatserver -map map.csv [-addr :8080] [-datanodes 4] [-cache-entries 262144]
 //	neatserver -region ATL -scale 0.1 [-addr :8080] [-drain 10s] [-max-inflight 16] [-request-timeout 30s]
 //	neatserver -region ATL -data-dir /var/lib/neat [-fsync always] [-checkpoint-every 8]
 //	neatserver -region ATL -max-sessions 32
@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string) error {
 		region    = fs.String("region", "", "generate a preset map: ATL, SJ, or MIA")
 		scale     = fs.Float64("scale", 0.1, "scale for -region maps")
 		dataNodes = fs.Int("datanodes", 4, "preprocessing data nodes")
-		workers   = fs.Int("workers", 0, "Phase 3 refinement workers (0 = serial, -1 = all CPUs)")
 		cacheEnt  = fs.Int("cache-entries", 0, "distance cache entry budget shared across clustering requests (0 = default budget, <0 = no cache)")
 		inflight  = fs.Int("max-inflight", 0, "admission control: concurrent requests served before shedding with 429/503 (0 = 16, <0 = unbounded)")
 		maxSess   = fs.Int("max-sessions", 0, "cap on live sessions, the default session included (0 = 16)")
@@ -140,7 +139,7 @@ func run(ctx context.Context, args []string) error {
 
 	reg := obs.NewRegistry()
 	scfg := server.Config{
-		DataNodes: *dataNodes, Workers: *workers, CacheEntries: *cacheEnt,
+		DataNodes: *dataNodes, CacheEntries: *cacheEnt,
 		MaxInflight: *inflight, MaxSessions: *maxSess, RequestTimeout: *reqTO, Obs: reg,
 		Guard: guard.Config{
 			Limits: guard.Limits{

@@ -3,10 +3,7 @@
 // trajectory-similarity workloads are dominated by repeated shortest-
 // path lookups between the same endpoint junctions — flows start and
 // end at the same hotspots — so the same distances recur across flow
-// pairs, across Phase 3 runs, and across streaming ingests. Kharrat et
-// al. (arXiv:1210.0762) make the same observation for network-
-// constrained trajectory clustering: memoize the distance oracle, not
-// the clustering.
+// pairs, across Phase 3 runs, and across streaming ingests.
 //
 // # Keying and correctness
 //
@@ -42,8 +39,7 @@
 //
 // The key space is striped across shards, each with its own mutex and
 // LRU list; counters are atomics. There is no global lock on the hot
-// path, so Phase 3 worker pools (neat.RefineConfig.Workers > 1) share
-// one cache safely.
+// path, so concurrent callers share one cache safely.
 package distcache
 
 import (

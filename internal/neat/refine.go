@@ -104,17 +104,20 @@ type RefineConfig struct {
 	// Workers selects the batched ε-graph builder (an extension beyond
 	// the paper). 0 — the default — runs the serial pairwise scan
 	// exactly as §III-C describes, preserving the paper's per-pair
-	// query accounting. Any other value, with the Dijkstra kernel and a
-	// finite ε, re-batches the scan into bounded one-to-many expansions
-	// — one per distinct flow-endpoint junction, carrying only targets
-	// a Euclidean point-grid pre-filter admits — sharded over that many
-	// worker goroutines (negative selects GOMAXPROCS), each owning its
-	// single-goroutine shortest-path engine; Bounded is then implied
-	// and ignored. The other kernels, and an infinite ε, run the serial
-	// scan whatever Workers says. Clustering output is identical to the
-	// serial scan in every case (the batched builder merges
-	// deterministically); only the work accounting differs — see
-	// RefineStats.
+	// query accounting; neatcli without -workers, the experiments and
+	// the streaming clusterer's EpsGraph run it. Any other value, with
+	// the Dijkstra kernel and a finite ε, re-batches the scan: a
+	// Euclidean grid pre-filter picks the junction pairs that can be
+	// within ε, the shared cache is probed once per pair, and the
+	// misses run as bounded one-to-many expansions — one per distinct
+	// flow-endpoint junction — sharded over that many worker goroutines
+	// (negative selects GOMAXPROCS), each owning its single-goroutine
+	// shortest-path engine; Bounded is then implied and ignored. The
+	// server runs it on every /v1/clusters miss (Workers -1). The other
+	// kernels, and an infinite ε, run the serial scan whatever Workers
+	// says. Clustering output is identical to the serial scan in every
+	// case (the batched builder merges deterministically); only the
+	// work accounting differs — see RefineStats.
 	Workers int
 }
 
@@ -152,12 +155,13 @@ type RefineStats struct {
 	// Expansions is the number of bounded one-to-many expansions the
 	// batched builder ran; 0 on the serial path.
 	Expansions int64
-	// PrunedPairs is the number of pairs the Euclidean point-grid
+	// PrunedPairs is the number of pairs the Euclidean grid
 	// pre-filter rejected before any expansion was scheduled (batched
 	// path only; equals ELBPruned there when UseELB is set).
 	PrunedPairs int
-	// Workers is the worker count the batched builder used; 0 means
-	// the serial paper path ran.
+	// Workers is the worker count the batched builder resolved for the
+	// input (goroutines start only when some distance misses the
+	// cache); 0 means the serial paper path ran.
 	Workers int
 	// CacheHits and CacheMisses count shared-cache consultations
 	// (RefineConfig.Cache); both are 0 when no cache is attached. A hit

@@ -181,8 +181,9 @@ func (s FlowMergeStage) run(p *Pipeline, st *state) error {
 // RefineStage is Phase 3: merge flow clusters whose representative
 // routes end within network distance ε, via the modified Hausdorff
 // predicate and deterministic DBSCAN. Cfg.Workers picks the ε-graph
-// builder — the serial scan, or the batched one-to-many builder for the
-// Dijkstra kernel at finite ε; both yield the identical clustering.
+// builder — the paper's serial scan (0), or the batched one-to-many
+// builder for the Dijkstra kernel at finite ε, which the server's reads
+// run; both yield the identical clustering.
 // It refines the flows in the result so far: Phase 2's output, or the
 // filtered flow set RunFlowSet puts there.
 type RefineStage struct {

@@ -24,7 +24,10 @@ import (
 	"repro/internal/viz"
 )
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. No field selects how Phase 3 runs:
+// every /v1/clusters miss builds its ε-graph with the batched
+// one-to-many builder over all CPUs (neat.RefineConfig.Workers -1),
+// whose clustering is byte-identical to the paper's serial scan.
 type Config struct {
 	// DataNodes is the number of preprocessing workers each session's
 	// ingestion path shards trajectories across (the paper's data
@@ -33,18 +36,13 @@ type Config struct {
 	// MaxBatch caps the number of trajectories per ingest request.
 	// Zero selects 10000.
 	MaxBatch int
-	// Workers is the Phase 3 refinement worker count passed through to
-	// neat.RefineConfig.Workers: 0 keeps the serial paper-exact scan,
-	// negative uses all CPUs. The clustering output is identical either
-	// way, so it does not key the result cache.
-	Workers int
 	// CacheEntries sizes the junction-pair distance cache budget shared
 	// by every session (internal/distcache): each session keeps its own
 	// cache instance — scoped to its graph by fingerprint — but all of
 	// them draw on one entry budget, so N tenants never multiply the
 	// cache memory. 0 selects the default budget, a negative value
-	// disables caching. Like Workers it changes only the work
-	// performed, never the response bytes.
+	// disables caching. It changes only the work performed, never the
+	// response bytes.
 	CacheEntries int
 	// Obs is the metrics registry the server records into: request
 	// latency/status per route, result-cache hits and misses, ingest
@@ -176,7 +174,6 @@ func Open(g *roadnet.Graph, cfg Config) (*Server, error) {
 		Session: session.Config{
 			DataNodes:   cfg.DataNodes,
 			MaxBatch:    cfg.MaxBatch,
-			Workers:     cfg.Workers,
 			MaxInflight: cfg.MaxInflight,
 			Guard:       cfg.Guard,
 			Obs:         cfg.Obs,
@@ -489,9 +486,13 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 		writeError(w, http.StatusBadRequest, "unknown level %q", q.Get("level"))
 		return
 	}
+	// Phase 3 runs the batched builder on every miss: a cold read
+	// costs one bounded expansion per endpoint junction instead of up
+	// to four point-to-point queries per flow pair, and a warm one
+	// probes the cache once per junction pair (DESIGN.md §6).
 	cfg := neat.Config{
 		Flow:   neat.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: 5},
-		Refine: neat.RefineConfig{Epsilon: 6500, UseELB: true, Bounded: true, Workers: sess.Workers(), Cache: sess.Cache(), Fault: sess.Injector()},
+		Refine: neat.RefineConfig{Epsilon: 6500, UseELB: true, Bounded: true, Workers: -1, Cache: sess.Cache(), Fault: sess.Injector()},
 	}
 	if v := q.Get("eps"); v != "" {
 		eps, err := strconv.ParseFloat(v, 64)
@@ -662,7 +663,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, sess *sessi
 		Trajectories:   len(sn.Trajs),
 		TotalFragments: len(sn.Fragments),
 		DataNodes:      s.cfg.DataNodes,
-		RefineWorkers:  s.cfg.Workers,
 		DistCache:      dc,
 		Robustness:     rb,
 		Guard:          &gd,

@@ -84,9 +84,6 @@ type StatsResponse struct {
 	Trajectories   int     `json:"trajectories"`
 	TotalFragments int     `json:"total_fragments"`
 	DataNodes      int     `json:"data_nodes"`
-	// RefineWorkers echoes the server's Phase 3 worker configuration
-	// (0 = serial refinement).
-	RefineWorkers int `json:"refine_workers"`
 	// DistCache reports the shared junction-pair distance cache behind
 	// /v1/clusters; nil when the cache is disabled.
 	DistCache *DistCacheDTO `json:"dist_cache,omitempty"`

@@ -60,9 +60,6 @@ type Config struct {
 	// MaxBatch caps trajectories per ingest batch (enforced by the
 	// server's handler; exposed through MaxBatch). Zero selects 10000.
 	MaxBatch int
-	// Workers is the Phase 3 refinement worker count (0 serial,
-	// negative all CPUs); output-identical either way.
-	Workers int
 	// MaxInflight is the number of Acquire slots: a static bound on
 	// concurrently served requests for this session. 0 or negative
 	// disables it. The server passes its global cap here and takes a
@@ -292,9 +289,6 @@ func (s *Session) Metrics() *Metrics { return &s.m }
 
 // MaxBatch returns the per-ingest trajectory cap.
 func (s *Session) MaxBatch() int { return s.cfg.MaxBatch }
-
-// Workers returns the Phase 3 refinement worker configuration.
-func (s *Session) Workers() int { return s.cfg.Workers }
 
 // Current returns the published snapshot. It never blocks and never
 // observes a partially committed ingest; before the first ingest it is
