@@ -3,8 +3,10 @@ package neat
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
 
@@ -19,14 +21,58 @@ import (
 // configuration.
 
 // FlowSet is the parameter-independent product of Phases 1–2 over one
-// fragment set. It holds no base cluster and no t-fragment: only counts
-// and detached flows, so keeping one per published dataset is cheap.
+// fragment set. It holds no base cluster and no t-fragment: counts,
+// detached flows and, once a batched read has refined it, the
+// junction-distance table of its loosest such read, so keeping one per
+// published dataset is cheap. It is safe for concurrent reads.
 type FlowSet struct {
 	// BaseClusters is the number of Phase 1 base clusters.
 	BaseClusters int
 	// Flows is every Phase 2 flow — the minCard 0 list — in seed
 	// order, each detached from its members (see FlowCluster.Detached).
 	Flows []*FlowCluster
+
+	// table is the junction-distance table of the loosest batched
+	// read so far: smallest minCard, widest ε (see epsGraph).
+	table atomic.Pointer[junctionDists]
+}
+
+// epsGraph is the batched builder for a read over flows, fs's flows at
+// minCard. When the kept table answers the read (a minCard at least
+// its own, an ε at most its own), only the predicate pass runs: no
+// grid scan, no cache probe, no shortest path, and stats say
+// FromTable. Otherwise the read builds its own table through the cache
+// and keeps it if it covers the kept one on both axes; a table looser
+// on one axis and tighter on the other stays.
+func (fs *FlowSet) epsGraph(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, minCard int, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
+	t := fs.table.Load()
+	if t.answers(g, minCard, cfg.Epsilon) {
+		if cfg.Epsilon < t.eps && t.eucl == nil {
+			// A narrower ε reads a prefix of each row by distance:
+			// order the rows once, for this read and the set's later
+			// ones. A set read once never pays for it.
+			sorted := t.sortedByDist()
+			fs.table.CompareAndSwap(t, sorted)
+			t = sorted
+		}
+		stats.FromTable = true
+		return t.epsGraph(ctx, flows, cfg, stats)
+	}
+	t, err := buildJunctionDists(ctx, g, flows, cfg, stats)
+	if err != nil {
+		return nil, err
+	}
+	t.minCard = minCard
+	for {
+		kept := fs.table.Load()
+		if kept != nil && !t.answers(kept.g, kept.minCard, kept.eps) {
+			break
+		}
+		if fs.table.CompareAndSwap(kept, t) {
+			break
+		}
+	}
+	return t.epsGraph(ctx, flows, cfg, stats)
 }
 
 // Detached returns a copy of f without its member base clusters: the
@@ -120,6 +166,10 @@ func (p *Pipeline) BuildFlowSet(ctx context.Context, kept *ClusterSet, frags []t
 // refine stage over the survivors under a "neat.merge" root span. The
 // result carries no base clusters (fs.BaseClusters counts them), no
 // fragment count and only the Phase 3 timing. It counts as one run.
+// With the batched builder, a read the set's kept junction table
+// answers skips the grid scan and the distance cache (FlowSet.epsGraph,
+// RefineStats.FromTable); the clustering is the same either way.
+// Concurrent calls on one set are safe.
 func (p *Pipeline) RunFlowSet(ctx context.Context, fs *FlowSet, cfg Config, level Level) (*Result, error) {
 	if level > LevelOpt {
 		return nil, fmt.Errorf("neat: unknown level %d", level)
@@ -139,7 +189,8 @@ func (p *Pipeline) RunFlowSet(ctx context.Context, fs *FlowSet, cfg Config, leve
 			return nil, err
 		}
 		res.Trace = p.newRunSpan("neat.merge", LevelOpt)
-		if err := (RefineStage{Cfg: cfg.Refine}).run(p, &state{ctx: ctx, res: res}); err != nil {
+		st := &state{ctx: ctx, res: res, flowSet: fs, minCard: cfg.Flow.MinCard}
+		if err := (RefineStage{Cfg: cfg.Refine}).run(p, st); err != nil {
 			return nil, err
 		}
 		res.Trace.End()

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/distcache"
 	"repro/internal/experiments"
+	"repro/internal/mobisim"
 	"repro/internal/neat"
 	"repro/internal/traj"
 )
@@ -84,5 +86,73 @@ func BenchmarkBuildFlowSet(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// resultSink keeps BenchmarkRunFlowSetSweep's result live.
+var resultSink *neat.Result
+
+// BenchmarkRunFlowSetSweep times the reads of a parameter sweep over
+// one flow set, as the server answers them: 1,000 uniform ATL@0.5
+// trips folded by BuildFlowSet with the server's flow settings, three
+// warm-up reads at ε 1500 for minCard 3–5 on a shared distance cache,
+// then one read per op over the 150 keys ε 500–1480 (step 20) ×
+// minCard 3–5 in a seeded order, with the server's Phase 3 settings.
+// The warm-ups leave the ε 1500, minCard 3 junction table kept on the
+// set, and every timed read is one it answers; the first of them
+// orders the table's rows by distance, as param_sweep's first does.
+func BenchmarkRunFlowSetSweep(b *testing.B) {
+	env, err := experiments.NewEnv(0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := env.Graph("ATL")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, _, err := mobisim.New(g).SimulateModel(mobisim.DefaultConfig("ATL-uniform", 1000, 1), mobisim.TripUniform)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := neat.NewPipeline(g)
+	frags, err := p.Partition(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	fs, _, err := p.BuildFlowSet(ctx, nil, frags, neat.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := distcache.New(0)
+	read := func(eps float64, minCard int) {
+		cfg := neat.DefaultConfig()
+		cfg.Flow.MinCard = minCard
+		cfg.Refine = neat.RefineConfig{Epsilon: eps, UseELB: true, Bounded: true, Workers: -1, Cache: cache}
+		res, err := p.RunFlowSet(ctx, fs, cfg, neat.LevelOpt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resultSink = res
+	}
+	for mc := 3; mc <= 5; mc++ {
+		read(1500, mc)
+	}
+	type key struct {
+		eps     float64
+		minCard int
+	}
+	var keys []key
+	for eps := 500; eps < 1500; eps += 20 {
+		for mc := 3; mc <= 5; mc++ {
+			keys = append(keys, key{float64(eps), mc})
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		read(k.eps, k.minCard)
 	}
 }

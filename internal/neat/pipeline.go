@@ -288,6 +288,13 @@ func annotateRefine(sp *obs.Span, cfg RefineConfig, stats RefineStats, clusters 
 	eg := sp.AddChild("phase3.eps_graph", sp.Start(), stats.GraphTime)
 	eg.Annotate("sp_queries", stats.SPQueries)
 	eg.Annotate("settled_nodes", stats.SettledNodes)
+	if stats.Workers > 0 {
+		table := "built"
+		if stats.FromTable {
+			table = "kept"
+		}
+		eg.Annotate("junction_table", table)
+	}
 	db := sp.AddChild("phase3.dbscan", sp.Start().Add(stats.GraphTime), stats.ClusterTime)
 	db.Annotate("clusters", clusters)
 }

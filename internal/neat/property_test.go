@@ -351,3 +351,34 @@ func TestPropertyRefinePartition(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyClusterCardinality holds TrajectoryCluster.Cardinality's
+// merge count to its definition, the size of the sorted and compacted
+// concatenation of the flows' participant lists, over random clusters
+// of up to 40 flows (past the merge's 16-list stack buffer). The
+// lists are drawn from a small id range so flows overlap, and some
+// are empty, including whole clusters of empty lists.
+func TestPropertyClusterCardinality(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 500; trial++ {
+		c := &TrajectoryCluster{}
+		span := 1 + rng.Intn(60)
+		var all []traj.ID
+		for f := rng.Intn(41); f > 0; f-- {
+			var ids []traj.ID
+			if rng.Intn(5) > 0 {
+				for n := rng.Intn(span + 1); n > 0; n-- {
+					ids = append(ids, traj.ID(rng.Intn(span)))
+				}
+				slices.Sort(ids)
+				ids = slices.Compact(ids)
+			}
+			all = append(all, ids...)
+			c.Flows = append(c.Flows, &FlowCluster{trajs: ids})
+		}
+		slices.Sort(all)
+		if got, want := c.Cardinality(), len(slices.Compact(all)); got != want {
+			t.Fatalf("trial %d: %d flows over ids [0, %d): cardinality %d, want %d", trial, len(c.Flows), span, got, want)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -137,7 +136,10 @@ func (c RefineConfig) Validate() error {
 }
 
 // RefineStats quantifies the work Phase 3 performed; Fig 7 is built
-// from these counters.
+// from these counters. A batched read that a flow set's kept junction
+// table answers (FromTable) does no distance work: it reports 0
+// SPQueries, SettledNodes, Expansions, CacheHits and CacheMisses, while
+// Pairs, ELBPruned, PrunedPairs and Workers read as for a build.
 type RefineStats struct {
 	// Pairs is the number of flow-cluster pairs examined.
 	Pairs int
@@ -147,26 +149,34 @@ type RefineStats struct {
 	ELBPruned int
 	// SPQueries is the number of shortest-path computations issued
 	// (point-to-point on the serial path; one per one-to-many
-	// expansion on the batched path).
+	// expansion on the batched path; 0 for a table read).
 	SPQueries int64
 	// SettledNodes is the number of nodes settled across those
 	// computations (the real cost driver of network expansion).
 	SettledNodes int64
 	// Expansions is the number of bounded one-to-many expansions the
-	// batched builder ran; 0 on the serial path.
+	// batched builder ran; 0 on the serial path and for a table read.
 	Expansions int64
 	// PrunedPairs is the number of pairs the Euclidean grid
 	// pre-filter rejected before any expansion was scheduled (batched
-	// path only; equals ELBPruned there when UseELB is set).
+	// path only; equals ELBPruned there when UseELB is set). A table
+	// read applies the grid's test to the table's stored distances,
+	// so it counts the same pairs.
 	PrunedPairs int
 	// Workers is the worker count the batched builder resolved for the
 	// input (goroutines start only when some distance misses the
-	// cache); 0 means the serial paper path ran.
+	// cache, so a fully cached build and a table read report it
+	// without starting any); 0 means the serial paper path ran.
 	Workers int
+	// FromTable reports a batched read answered from its flow set's
+	// kept junction table (FlowSet, Pipeline.RunFlowSet): no grid
+	// scan, no cache probe, no shortest path.
+	FromTable bool
 	// CacheHits and CacheMisses count shared-cache consultations
-	// (RefineConfig.Cache); both are 0 when no cache is attached. A hit
-	// replaces one or more shortest-path computations, so SPQueries +
-	// CacheHits is comparable across cached and uncached runs.
+	// (RefineConfig.Cache); both are 0 when no cache is attached or a
+	// table answered the read. A hit replaces one or more
+	// shortest-path computations, so SPQueries + CacheHits is
+	// comparable across cached and uncached builds.
 	CacheHits   int64
 	CacheMisses int64
 	// GraphTime is the wall time spent building the ε-graph (distance
@@ -184,15 +194,53 @@ type TrajectoryCluster struct {
 }
 
 // Cardinality returns the number of distinct trajectories participating
-// in the cluster. It sorts the concatenated flow lists once, so the cost
-// is O(n log n) in their total length whatever the flow count.
+// in the cluster. Each flow's participant list is ascending and
+// repeat-free, so one flow answers with its own count, and several are
+// counted by merging their lists through a min-heap of list heads, with
+// no copy: O(n log k) for n ids in k lists.
 func (c *TrajectoryCluster) Cardinality() int {
-	var ids []traj.ID
-	for _, f := range c.Flows {
-		ids = append(ids, f.trajs...)
+	if len(c.Flows) == 1 {
+		return c.Flows[0].Cardinality()
 	}
-	slices.Sort(ids)
-	return len(slices.Compact(ids))
+	var stack [16][]traj.ID
+	heads := stack[:0]
+	for _, f := range c.Flows {
+		if len(f.trajs) > 0 {
+			heads = append(heads, f.trajs)
+		}
+	}
+	down := func(i int) {
+		for {
+			j := 2*i + 1
+			if j >= len(heads) {
+				return
+			}
+			if r := j + 1; r < len(heads) && heads[r][0] < heads[j][0] {
+				j = r
+			}
+			if heads[i][0] <= heads[j][0] {
+				return
+			}
+			heads[i], heads[j] = heads[j], heads[i]
+			i = j
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	n := 0
+	var last traj.ID
+	for len(heads) > 0 {
+		if id := heads[0][0]; n == 0 || id != last {
+			n, last = n+1, id
+		}
+		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
+	return n
 }
 
 // Density returns the total t-fragment count of the cluster.
@@ -419,6 +467,13 @@ func RefineFlows(g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig) ([]*T
 // returned. A re-run with an uncancelled context is byte-identical to a
 // run that was never cancelled — cancellation never leaks into state.
 func RefineFlowsCtx(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig) ([]*TrajectoryCluster, RefineStats, error) {
+	return refineFlows(ctx, g, flows, cfg, nil, 0)
+}
+
+// refineFlows is RefineFlowsCtx. A non-nil fs says flows are its flows
+// at minCard, so the batched builder may read and keep fs's junction
+// table (FlowSet.epsGraph).
+func refineFlows(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, fs *FlowSet, minCard int) ([]*TrajectoryCluster, RefineStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, RefineStats{}, err
 	}
@@ -444,8 +499,17 @@ func RefineFlowsCtx(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster,
 	// last used against a different one, this invalidates every entry.
 	cfg.Cache.SetScope(cacheScope(g, cfg))
 	var stats RefineStats
+	var adjacency [][]int
+	var err error
 	start := time.Now()
-	adjacency, err := buildEpsGraphBatched(ctx, g, flows, cfg, &stats)
+	switch {
+	case len(flows) < 2:
+		adjacency = make([][]int, len(flows))
+	case fs != nil:
+		adjacency, err = fs.epsGraph(ctx, g, flows, minCard, cfg, &stats)
+	default:
+		adjacency, err = buildEpsGraphBatched(ctx, g, flows, cfg, &stats)
+	}
 	if err != nil {
 		return nil, stats, err
 	}

@@ -1,9 +1,12 @@
 package neat
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,24 +20,31 @@ import (
 
 // This file holds the batched ε-graph builder behind
 // RefineConfig.Workers (Dijkstra kernel, finite ε); it is the builder
-// every served /v1/clusters read runs. It collects the ≤2F distinct
-// flow-endpoint junctions, pre-filters junction pairs with a Euclidean
-// grid (sound because dE <= dN), probes the shared cache once per
-// remaining pair, and runs ONE bounded one-to-many Dijkstra expansion
-// per source junction that still misses a target — collapsing up to
-// 4·F·(F−1)/2 point-to-point queries into at most 2F expansions. The
-// expansions are sharded statically (conc.Chunk) over per-worker
-// single-goroutine engines (see the shortest.Engine concurrency
-// invariant), each writing its own slots of one distance table, and
-// the predicate pass evaluates pairs in the serial scan's order, so for
+// every served /v1/clusters read runs. It works in two steps.
+//
+// The junction-table step (buildJunctionDists) collects the ≤2F
+// distinct flow-endpoint junctions, pre-filters junction pairs with a
+// Euclidean grid (sound because dE <= dN), probes the shared cache once
+// per remaining pair, and runs ONE bounded one-to-many Dijkstra
+// expansion per source junction that still misses a target —
+// collapsing up to 4·F·(F−1)/2 point-to-point queries into at most 2F
+// expansions. The expansions are sharded statically (conc.Chunk) over
+// per-worker single-goroutine engines (see the shortest.Engine
+// concurrency invariant), each writing its own slots of one distance
+// table.
+//
+// The predicate pass (junctionDists.epsGraph) evaluates the candidate
+// flow pairs in the serial scan's order from that table alone, so for
 // any worker count the adjacency — and hence the clustering — is
-// byte-identical to the serial scan's.
+// byte-identical to the serial scan's. RefineFlows runs the two steps
+// back to back; a flow set keeps the table of its loosest read, and a
+// narrower read of the same set runs only the pass (FlowSet.epsGraph).
 //
 // All bookkeeping is flat: junctions are indexed by position in a
 // sorted slice, and every junction relation is a CSR table (one offsets
 // slice, one values slice) sized by a counting pass, so a warm read —
-// every distance a cache hit — allocates a handful of slices whatever
-// the flow count.
+// every distance a cache hit or a table entry — allocates a handful of
+// slices whatever the flow count.
 
 // csr is a compressed sparse row table: row r holds val[off[r]:off[r+1]].
 type csr struct {
@@ -45,9 +55,8 @@ type csr struct {
 func (t csr) row(r int32) []int32 { return t.val[t.off[r]:t.off[r+1]] }
 
 // transpose returns the table whose row c lists, ascending, every row r
-// of t that holds c, plus mirror: mirror[k] is the position in the
-// transpose of the entry t.val[k].
-func (t csr) transpose(cols int) (csr, []int32) {
+// of t that holds c.
+func (t csr) transpose(cols int) csr {
 	off := make([]int32, cols+1)
 	for _, c := range t.val {
 		off[c+1]++
@@ -57,60 +66,53 @@ func (t csr) transpose(cols int) (csr, []int32) {
 	}
 	next := slices.Clone(off[:cols])
 	val := make([]int32, len(t.val))
-	mirror := make([]int32, len(t.val))
 	for r := int32(0); int(r)+1 < len(t.off); r++ {
-		for k := t.off[r]; k < t.off[r+1]; k++ {
-			c := t.val[k]
+		for _, c := range t.row(r) {
 			val[next[c]] = r
-			mirror[k] = next[c]
 			next[c]++
 		}
 	}
-	return csr{off: off, val: val}, mirror
+	return csr{off: off, val: val}
 }
 
-// junctionTable indexes the distinct endpoint junctions of a flow list.
-type junctionTable struct {
-	junc []roadnet.NodeID // distinct endpoint junctions, ascending
-	ends [][2]int32       // per flow, its two endpoints' indices in junc
-	at   csr              // row u: the flows ending at junc[u], ascending
+// junctionDists is the junction-distance table of one batched build:
+// the distinct endpoint junctions of the flows it was built over,
+// every pair of them within Euclidean ε, and each pair's network
+// distance. It is immutable once built, so a flow set can keep one and
+// share it across concurrent reads (FlowSet.epsGraph). A read over a
+// subset of those flows at an ε no wider than the table's filters it:
+// dE and dN do not depend on which flows take part, and a network
+// distance beyond the table's ε (+Inf) is beyond any narrower ε too.
+type junctionDists struct {
+	g       *roadnet.Graph
+	eps     float64 // the build's ε
+	minCard int     // the read's minCard, for a table a flow set keeps
+	junc    []roadnet.NodeID
+	pts     []geo.Point // per junction, its position
+	upper   csr         // row u: every v > u within Euclidean eps of u
+	dist    []float64   // per upper entry: the network distance, +Inf beyond eps
+	// eucl, per upper entry, is the pair's Euclidean distance once
+	// sortedByDist has ordered each row by it, ties by junction, so
+	// the entries within a narrower ε are a prefix of the row. A
+	// build's rows run in grid order and carry none: at the build's
+	// own ε every entry qualifies.
+	eucl []float64
 }
 
-func newJunctionTable(flows []*FlowCluster) junctionTable {
-	ends := flowEndpoints(flows)
-	junc := make([]roadnet.NodeID, 0, 2*len(ends))
-	for _, e := range ends {
-		junc = append(junc, e.a, e.b)
-	}
-	slices.Sort(junc)
-	junc = slices.Compact(junc)
-	jt := junctionTable{junc: junc, ends: make([][2]int32, len(ends))}
-	// Row fi of byFlow holds flow fi's distinct endpoint junctions, so
-	// its transpose lists the flows ending at each junction.
-	byFlow := csr{off: make([]int32, len(ends)+1), val: make([]int32, 0, 2*len(ends))}
-	for fi, e := range ends {
-		a, _ := slices.BinarySearch(junc, e.a)
-		b, _ := slices.BinarySearch(junc, e.b)
-		jt.ends[fi] = [2]int32{int32(a), int32(b)}
-		byFlow.val = append(byFlow.val, int32(a))
-		if b != a {
-			byFlow.val = append(byFlow.val, int32(b))
-		}
-		byFlow.off[fi+1] = int32(len(byFlow.val))
-	}
-	jt.at, _ = byFlow.transpose(len(junc))
-	return jt
+// answers reports whether t can serve a read on g over the flows kept
+// at minCard, at ε eps: a flow set's flows at a larger minCard are a
+// subset of those at a smaller one, so their junctions and the pairs
+// within a narrower ε are all in t. Nil-safe.
+func (t *junctionDists) answers(g *roadnet.Graph, minCard int, eps float64) bool {
+	return t != nil && t.g == g && minCard >= t.minCard && eps <= t.eps
 }
 
-// junctionNeighbors returns, for every junction u, the junctions v ≠ u
-// within Euclidean distance eps of it, split into the upper table (row
-// u: every v > u, ascending) and the lower one (row u: every v < u),
-// with lowerAt[k] the position of the lower entry k's mirror in upper.
-// Junctions are bucketed into square cells of at least eps, so a
-// radius query scans at most the 3×3 block around its cell; the
-// comparison is inclusive, matching the ε-neighborhood predicate's
-// d <= ε.
-func junctionNeighbors(pts []geo.Point, eps float64) (upper, lower csr, lowerAt []int32) {
+// junctionNeighbors returns, for every junction u, the junctions v > u
+// within Euclidean distance eps of it, in grid order. Junctions are
+// bucketed into square cells of at least eps, so a radius query scans
+// at most the 3×3 block around its cell; the comparison is inclusive,
+// matching the ε-neighborhood predicate's d <= ε.
+func junctionNeighbors(pts []geo.Point, eps float64) (upper csr) {
 	bounds := geo.RectFromPoints(pts...)
 	// Cell size tracks ε but is floored so a tiny ε on a huge map
 	// cannot explode the cell count.
@@ -135,28 +137,27 @@ func junctionNeighbors(pts []geo.Point, eps float64) (upper, lower csr, lowerAt 
 		byJunction.val[u] = int32(cy*nx + cx)
 		byJunction.off[u+1] = int32(u + 1)
 	}
-	grid, _ := byJunction.transpose(nx * ny)
+	grid := byJunction.transpose(nx * ny)
 
-	lower.off = make([]int32, len(pts)+1)
+	// Each junction's cell rows are ascending, so walking them from the
+	// end visits exactly its neighbours v > u.
+	upper.off = make([]int32, len(pts)+1)
 	for u, p := range pts {
 		x0, y0 := cellOf(p.X-eps, p.Y-eps)
 		x1, y1 := cellOf(p.X+eps, p.Y+eps)
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
-				for _, v := range grid.row(int32(cy*nx + cx)) {
-					if int(v) >= u {
-						break
-					}
-					if pts[v].Dist(p) <= eps {
-						lower.val = append(lower.val, v)
+				cellRow := grid.row(int32(cy*nx + cx))
+				for i := len(cellRow) - 1; i >= 0 && int(cellRow[i]) > u; i-- {
+					if pts[cellRow[i]].Dist(p) <= eps {
+						upper.val = append(upper.val, cellRow[i])
 					}
 				}
 			}
 		}
-		lower.off[u+1] = int32(len(lower.val))
+		upper.off[u+1] = int32(len(upper.val))
 	}
-	upper, lowerAt = lower.transpose(len(pts))
-	return upper, lower, lowerAt
+	return upper
 }
 
 // firstBuildError picks the error the batched builder reports, making
@@ -175,64 +176,49 @@ func firstBuildError(ctx context.Context, errs []error) error {
 	return nil
 }
 
-// scattered reads junction v's slot of a row's scattered distances:
-// +Inf unless this row stamped it, i.e. v is beyond Euclidean ε and
-// hence beyond ε.
-func scattered(d []float64, seen []int32, v, stamp int32) float64 {
-	if seen[v] == stamp {
-		return d[v]
-	}
-	return math.Inf(1)
-}
-
 // expansion is one bounded one-to-many Dijkstra: from junction src to
-// the targets whose upper-table positions are miss[lo:hi].
+// the targets at miss[lo:hi].
 type expansion struct {
 	src    int32
 	lo, hi int
 }
 
-// buildEpsGraphBatched is the batched one-to-many builder: grid
-// pre-filter, one cache probe per within-ε junction pair, per-source
-// expansions for the misses sharded across workers, then a sequential
-// predicate pass over the candidate pairs in the serial scan's order.
-func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
-	n := len(flows)
-	stats.Pairs = n * (n - 1) / 2
-	if n < 2 {
-		return make([][]int, n), nil
-	}
+// buildJunctionDists is the batched builder's junction-table step:
+// the distinct endpoint junctions of flows, the grid pre-filter, one
+// cache probe per within-ε junction pair, and one bounded
+// one-to-many expansion per source junction that still misses a
+// target, sharded across workers.
+func buildJunctionDists(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) (*junctionDists, error) {
 	eps := cfg.Epsilon
-	jt := newJunctionTable(flows)
-	pts := make([]geo.Point, len(jt.junc))
-	for u, v := range jt.junc {
+	junc := make([]roadnet.NodeID, 0, 2*len(flows))
+	for _, f := range flows {
+		a, b := f.Endpoints()
+		junc = append(junc, a, b)
+	}
+	slices.Sort(junc)
+	junc = slices.Compact(junc)
+	pts := make([]geo.Point, len(junc))
+	for u, v := range junc {
 		pts[u] = g.Node(v).Pt
 	}
-	upper, lower, lowerAt := junctionNeighbors(pts, eps)
+	upper := junctionNeighbors(pts, eps)
+	t := &junctionDists{g: g, eps: eps, junc: junc, pts: pts, upper: upper, dist: make([]float64, len(upper.val))}
 
-	// dist[k] is the network distance of the junction pair at upper
-	// position k, +Inf when it exceeds ε. Consult the shared cache
-	// first: a hit (finite, or +Inf meaning "beyond ε") fills the
-	// slot, and a miss queues the target on its source's expansion,
-	// so a fully cached read — the steady state of a parameter sweep
-	// or a streaming re-merge — expands nothing.
-	dist := make([]float64, len(upper.val))
+	// Consult the shared cache first: a hit (finite, or +Inf meaning
+	// "beyond ε") fills the pair's slot, and a miss queues the target
+	// on its source's expansion, so a fully cached build expands
+	// nothing.
 	var miss []int32
 	var targets []roadnet.NodeID
 	var exps []expansion
-	sources := 0
-	for u := int32(0); int(u) < len(jt.junc); u++ {
-		if upper.off[u] == upper.off[u+1] {
-			continue
-		}
-		sources++
+	for u := int32(0); int(u) < len(junc); u++ {
 		lo := len(miss)
 		for k := upper.off[u]; k < upper.off[u+1]; k++ {
-			v := jt.junc[upper.val[k]]
+			v := junc[upper.val[k]]
 			if cfg.Cache != nil {
-				if d, ok := cfg.Cache.Lookup(distcache.Key(int32(jt.junc[u]), int32(v)), eps); ok {
+				if d, ok := cfg.Cache.Lookup(distcache.Key(int32(junc[u]), int32(v)), eps); ok {
 					stats.CacheHits++
-					dist[k] = d
+					t.dist[k] = d
 					continue
 				}
 				stats.CacheMisses++
@@ -244,73 +230,197 @@ func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCl
 			exps = append(exps, expansion{src: u, lo: lo, hi: len(miss)})
 		}
 	}
-	stats.Workers = conc.WorkersFor(cfg.Workers, sources)
 	stats.Expansions = int64(len(exps))
+	if len(exps) == 0 {
+		return t, nil
+	}
 
 	// Workers start only when something misses. Each expansion writes
-	// its own slots of dist, so the table is the same whatever the
+	// its own range of got, so the table is the same whatever the
 	// schedule.
-	if len(exps) > 0 {
-		spStats := &shortest.Stats{}
-		workers := conc.WorkersFor(cfg.Workers, len(exps))
-		var stop atomic.Bool
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := conc.Chunk(w, workers, len(exps))
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				eng := shortest.New(g, spStats)
-				eng.SetFaults(cfg.Fault)
-				for _, x := range exps[lo:hi] {
-					if stop.Load() {
-						return
-					}
-					if err := ctx.Err(); err != nil {
-						stop.Store(true)
-						return
-					}
-					if err := cfg.Fault.Inject(fault.SPQuery); err != nil {
-						errs[w] = err
-						stop.Store(true)
-						return
-					}
-					out := eng.DistancesTo(jt.junc[x.src], shortest.Undirected, eps, targets[x.lo:x.hi])
-					for i, d := range out {
-						dist[miss[x.lo+i]] = d
-					}
+	got := make([]float64, len(miss))
+	spStats := &shortest.Stats{}
+	workers := conc.WorkersFor(cfg.Workers, len(exps))
+	var stop atomic.Bool
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := conc.Chunk(w, workers, len(exps))
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			eng := shortest.New(g, spStats)
+			eng.SetFaults(cfg.Fault)
+			for _, x := range exps[lo:hi] {
+				if stop.Load() {
+					return
 				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		if err := firstBuildError(ctx, errs); err != nil {
-			return nil, err
-		}
-		stats.SPQueries, stats.SettledNodes = spStats.Snapshot()
-		// Write the computed rows back to the shared cache (nil-safe),
-		// source by source: finite distances are exact, +Inf means
-		// "farther than ε" — the bound class the next run's probes
-		// will state.
-		for _, x := range exps {
-			from := int32(jt.junc[x.src])
-			for i, k := range miss[x.lo:x.hi] {
-				cfg.Cache.Store(distcache.Key(from, int32(targets[x.lo+i])), dist[k], eps)
+				if err := ctx.Err(); err != nil {
+					stop.Store(true)
+					return
+				}
+				if err := cfg.Fault.Inject(fault.SPQuery); err != nil {
+					errs[w] = err
+					stop.Store(true)
+					return
+				}
+				eng.DistancesTo(got[x.lo:x.hi], junc[x.src], shortest.Undirected, eps, targets[x.lo:x.hi])
 			}
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	if err := firstBuildError(ctx, errs); err != nil {
+		return nil, err
+	}
+	stats.SPQueries, stats.SettledNodes = spStats.Snapshot()
+	// Fill the table and write the computed rows back to the shared
+	// cache (nil-safe), source by source: finite distances are exact,
+	// +Inf means "farther than ε" — the bound class the next build's
+	// probes will state.
+	for _, x := range exps {
+		from := int32(junc[x.src])
+		for i := x.lo; i < x.hi; i++ {
+			t.dist[miss[i]] = got[i]
+			cfg.Cache.Store(distcache.Key(from, int32(targets[i])), got[i], eps)
 		}
-	} else if err := ctx.Err(); err != nil {
+	}
+	return t, nil
+}
+
+// sortedByDist returns a copy of t whose rows run by Euclidean
+// distance, ties by junction, with those distances in eucl; each entry
+// keeps its network distance. A distance is the grid scan's own
+// expression on the same points, so it is the float the scan tested.
+func (t *junctionDists) sortedByDist() *junctionDists {
+	eucl := make([]float64, len(t.upper.val))
+	order := make([]int32, len(t.upper.val))
+	for u := range t.junc {
+		for k := t.upper.off[u]; k < t.upper.off[u+1]; k++ {
+			eucl[k], order[k] = t.pts[t.upper.val[k]].Dist(t.pts[u]), k
+		}
+		slices.SortFunc(order[t.upper.off[u]:t.upper.off[u+1]], func(a, b int32) int {
+			if c := cmp.Compare(eucl[a], eucl[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(t.upper.val[a], t.upper.val[b])
+		})
+	}
+	s := *t
+	s.upper.val = make([]int32, len(order))
+	s.eucl, s.dist = make([]float64, len(order)), make([]float64, len(order))
+	for k, from := range order {
+		s.upper.val[k], s.eucl[k], s.dist[k] = t.upper.val[from], eucl[from], t.dist[from]
+	}
+	return &s
+}
+
+// within returns a read's view of t at ε eps, the rows a build over
+// the read's own flows would scan. For each junction u ending some
+// flow of the read (ends), its upper row is the prefix of t's row u
+// within Euclidean eps, ending at cut[u]: the whole row at t's own ε,
+// and otherwise the entries of a row by distance that pass the grid's
+// test on the same floats (FlowSet.epsGraph orders the rows first). Lower row v lists the
+// u < v whose prefix holds v, each with the pair's network distance. A
+// junction no flow of the read ends at has no flow to pair, so it may
+// stay in a row. sources counts the rows that hold one ending a flow
+// of the read.
+func (t *junctionDists) within(ends []bool, eps float64) (cut []int32, lower csr, lowerDist []float64, sources int) {
+	nj := len(t.junc)
+	cut = make([]int32, nj)
+	lower.off = make([]int32, nj+1)
+	for u := range nj {
+		if !ends[u] {
+			continue
+		}
+		cut[u] = t.upper.off[u+1]
+		if eps < t.eps {
+			d := t.eucl[t.upper.off[u]:cut[u]]
+			cut[u] = t.upper.off[u] + int32(sort.Search(len(d), func(i int) bool { return d[i] > eps }))
+		}
+		row := t.upper.val[t.upper.off[u]:cut[u]]
+		for _, v := range row {
+			lower.off[v+1]++
+		}
+		if slices.ContainsFunc(row, func(v int32) bool { return ends[v] }) {
+			sources++
+		}
+	}
+	for v := range nj {
+		lower.off[v+1] += lower.off[v]
+	}
+	lower.val, lowerDist = make([]int32, lower.off[nj]), make([]float64, lower.off[nj])
+	next := slices.Clone(lower.off[:nj])
+	for u := range nj {
+		if !ends[u] {
+			continue
+		}
+		for k := t.upper.off[u]; k < cut[u]; k++ {
+			v := t.upper.val[k]
+			lower.val[next[v]], lowerDist[next[v]] = int32(u), t.dist[k]
+			next[v]++
+		}
+	}
+	return cut, lower, lowerDist, sources
+}
+
+// scattered reads junction v's slot of a row's scattered distances:
+// +Inf unless this row stamped it, i.e. v is beyond Euclidean ε and
+// hence beyond ε.
+func scattered(d []float64, seen []int32, v, stamp int32) float64 {
+	if seen[v] == stamp {
+		return d[v]
+	}
+	return math.Inf(1)
+}
+
+// epsGraph is the batched builder's predicate pass over t: it maps the
+// flows' endpoints into the table, keeps the pairs within cfg's ε, and
+// evaluates the candidate flow pairs in the serial scan's order. It
+// reads every distance from t, so it runs no grid scan, probes no
+// cache and computes no shortest path.
+func (t *junctionDists) epsGraph(ctx context.Context, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
+	n := len(flows)
+	stats.Pairs = n * (n - 1) / 2
+	eps := cfg.Epsilon
+	nj := len(t.junc)
+	// pos[fi] holds flow fi's endpoint junctions' positions in the
+	// table. Row fi of byFlow holds the distinct ones, so its transpose
+	// lists the flows ending at each junction.
+	pos := make([][2]int32, n)
+	byFlow := csr{off: make([]int32, n+1), val: make([]int32, 0, 2*n)}
+	for fi, f := range flows {
+		front, back := f.Endpoints()
+		a, okA := slices.BinarySearch(t.junc, front)
+		b, okB := slices.BinarySearch(t.junc, back)
+		if !okA || !okB {
+			return nil, fmt.Errorf("neat: flow %d ends outside the junction table", fi)
+		}
+		pos[fi] = [2]int32{int32(a), int32(b)}
+		byFlow.val = append(byFlow.val, int32(a))
+		if b != a {
+			byFlow.val = append(byFlow.val, int32(b))
+		}
+		byFlow.off[fi+1] = int32(len(byFlow.val))
+	}
+	at := byFlow.transpose(nj)
+	ends := make([]bool, nj)
+	for u := range ends {
+		ends[u] = at.off[u] < at.off[u+1]
+	}
+	cut, lower, lowerDist, sources := t.within(ends, eps)
+	stats.Workers = conc.WorkersFor(cfg.Workers, sources)
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Predicate pass, row by row. For flow i with endpoint junctions
-	// (a, b), scatter the distances from a and from b to every junction
-	// within ε into dense per-junction slots (stamped with i+1, so no
-	// clearing), and collect the candidate flows j > i ending at one of
-	// those junctions — exactly the pairs the per-pair ELB check
-	// admits, since some endpoint combination is within Euclidean ε.
+	// Row by row: for flow i with endpoint junctions (a, b), scatter
+	// the distances from a and from b to every junction within ε into
+	// dense per-junction slots (stamped with i+1, so no clearing), and
+	// collect the candidate flows j > i ending at one of those
+	// junctions — exactly the pairs the per-pair ELB check admits,
+	// since some endpoint combination is within Euclidean ε.
 	// Evaluating row i's candidates in ascending j appends edges in the
 	// serial scan's i-major, j-ascending order.
-	nj := len(jt.junc)
 	fromA, fromB := make([]float64, nj), make([]float64, nj)
 	seenA, seenB := make([]int32, nj), make([]int32, nj)
 	picked := make([]int32, n)
@@ -321,23 +431,23 @@ func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCl
 	for i := int32(0); int(i) < n; i++ {
 		stamp := i + 1
 		near = near[:0]
-		for side, u := range jt.ends[i] {
+		for side, u := range pos[i] {
 			d, seen := fromA, seenA
 			if side == 1 {
 				d, seen = fromB, seenB
 			}
 			d[u], seen[u] = 0, stamp
-			for k := upper.off[u]; k < upper.off[u+1]; k++ {
-				d[upper.val[k]], seen[upper.val[k]] = dist[k], stamp
+			for k := t.upper.off[u]; k < cut[u]; k++ {
+				d[t.upper.val[k]], seen[t.upper.val[k]] = t.dist[k], stamp
 			}
 			for k := lower.off[u]; k < lower.off[u+1]; k++ {
-				d[lower.val[k]], seen[lower.val[k]] = dist[lowerAt[k]], stamp
+				d[lower.val[k]], seen[lower.val[k]] = lowerDist[k], stamp
 			}
-			near = append(append(append(near, u), upper.row(u)...), lower.row(u)...)
+			near = append(append(append(near, u), t.upper.val[t.upper.off[u]:cut[u]]...), lower.row(u)...)
 		}
 		row = row[:0]
 		for _, v := range near {
-			for _, j := range jt.at.row(v) {
+			for _, j := range at.row(v) {
 				if j > i && picked[j] != stamp {
 					picked[j] = stamp
 					row = append(row, j)
@@ -347,7 +457,7 @@ func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCl
 		slices.Sort(row)
 		cands += len(row)
 		for _, j := range row {
-			e := jt.ends[j]
+			e := pos[j]
 			dn := [2][2]float64{
 				{scattered(fromA, seenA, e[0], stamp), scattered(fromA, seenA, e[1], stamp)},
 				{scattered(fromB, seenB, e[0], stamp), scattered(fromB, seenB, e[1], stamp)},
@@ -388,4 +498,14 @@ func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCl
 		}
 	}
 	return adjacency, nil
+}
+
+// buildEpsGraphBatched is the batched builder RefineFlows runs: the
+// junction-table step, then the predicate pass over that table.
+func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
+	t, err := buildJunctionDists(ctx, g, flows, cfg, stats)
+	if err != nil {
+		return nil, err
+	}
+	return t.epsGraph(ctx, flows, cfg, stats)
 }

@@ -1,6 +1,7 @@
 package neat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -10,14 +11,23 @@ import (
 	"repro/internal/distcache"
 	"repro/internal/geo"
 	"repro/internal/proptest"
+	"repro/internal/roadnet"
 )
 
 // TestJunctionNeighborsMatchBruteForce pins the batched builder's
 // Euclidean pre-filter against an all-pairs scan: the upper rows list
-// exactly the v > u within ε, ascending; the lower rows exactly the
-// v < u; and each lower entry's mirror position names the same pair in
-// the upper table. The cases cover coincident points, a radius on a
-// cell boundary, a single point, and a tiny radius over a wide extent,
+// exactly the v > u within ε, in any order. sortedByDist must reorder
+// each row by distance, then junction, store each pair's Euclidean
+// distance as the scan computes it, and move every entry's network
+// distance along. It then pins a read's view of the rows
+// (junctionDists.within) for a subset of junctions ending the read's
+// flows, at the table's ε on the junction-ordered rows and at a
+// narrower ε on the distance-ordered ones: each such junction's
+// prefix holds exactly its neighbours within the read's ε, the lower
+// rows list exactly the u < v whose prefix holds v, ascending, each
+// with its pair's distance, and sources counts the prefixes holding a junction
+// of the subset. The cases cover coincident points, a radius on a cell
+// boundary, a single point, and a tiny radius over a wide extent,
 // where the cell size must grow to cap the cell count.
 func TestJunctionNeighborsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -47,34 +57,92 @@ func TestJunctionNeighborsMatchBruteForce(t *testing.T) {
 		}{"random", random(1+rng.Intn(300), 5000, 3000), rng.Float64() * 1200})
 	}
 	for ci, tc := range cases {
-		upper, lower, lowerAt := junctionNeighbors(tc.pts, tc.eps)
-		if len(upper.off) != len(tc.pts)+1 || len(lower.off) != len(tc.pts)+1 {
-			t.Fatalf("case %d (%s): %d/%d row offsets for %d points", ci, tc.name, len(upper.off), len(lower.off), len(tc.pts))
+		n := len(tc.pts)
+		upper := junctionNeighbors(tc.pts, tc.eps)
+		if len(upper.off) != n+1 {
+			t.Fatalf("case %d (%s): %d row offsets for %d points", ci, tc.name, len(upper.off), n)
 		}
+		// The Euclidean distances double as the network ones, so each
+		// entry must carry its own pair's through every reordering.
+		dist := make([]float64, len(upper.val))
 		for u := range tc.pts {
-			var wantUp, wantLow []int32
-			for v := range tc.pts {
-				if v != u && tc.pts[v].Dist(tc.pts[u]) <= tc.eps {
-					if v > u {
-						wantUp = append(wantUp, int32(v))
-					} else {
+			for k := upper.off[u]; k < upper.off[u+1]; k++ {
+				dist[k] = tc.pts[upper.val[k]].Dist(tc.pts[u])
+			}
+		}
+		built := &junctionDists{junc: make([]roadnet.NodeID, n), pts: tc.pts, eps: tc.eps, upper: upper, dist: dist}
+		sorted := built.sortedByDist()
+		for u := range tc.pts {
+			var wantUp []int32
+			for v := u + 1; v < n; v++ {
+				if tc.pts[v].Dist(tc.pts[u]) <= tc.eps {
+					wantUp = append(wantUp, int32(v))
+				}
+			}
+			got := slices.Clone(upper.row(int32(u)))
+			if slices.Sort(got); !slices.Equal(got, wantUp) {
+				t.Fatalf("case %d (%s) point %d: upper row %v, want %v", ci, tc.name, u, upper.row(int32(u)), wantUp)
+			}
+			slices.SortFunc(wantUp, func(a, b int32) int {
+				if c := cmp.Compare(tc.pts[a].Dist(tc.pts[u]), tc.pts[b].Dist(tc.pts[u])); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			if got := sorted.upper.row(int32(u)); !slices.Equal(got, wantUp) {
+				t.Fatalf("case %d (%s) point %d: row by distance %v, want %v", ci, tc.name, u, got, wantUp)
+			}
+			for k := sorted.upper.off[u]; k < sorted.upper.off[u+1]; k++ {
+				if d := tc.pts[sorted.upper.val[k]].Dist(tc.pts[u]); sorted.eucl[k] != d || sorted.dist[k] != d {
+					t.Fatalf("case %d (%s): pair (%d, %d) stores %v/%v, want %v", ci, tc.name, u, sorted.upper.val[k], sorted.eucl[k], sorted.dist[k], d)
+				}
+			}
+		}
+
+		ends := make([]bool, n)
+		for u := range ends {
+			ends[u] = ci%2 == 0 || rng.Intn(3) > 0
+		}
+		for _, read := range []struct {
+			td  *junctionDists
+			eps float64
+		}{{built, tc.eps}, {sorted, tc.eps * rng.Float64()}} {
+			cut, lower, lowerDist, sources := read.td.within(ends, read.eps)
+			wantSources := 0
+			for u := range tc.pts {
+				var wantPrefix, wantLow []int32
+				hasEnd := false
+				for v := range tc.pts {
+					d := tc.pts[v].Dist(tc.pts[u])
+					if v > u && d <= read.eps && ends[u] {
+						wantPrefix = append(wantPrefix, int32(v))
+						hasEnd = hasEnd || ends[v]
+					}
+					if v < u && d <= read.eps && ends[v] {
 						wantLow = append(wantLow, int32(v))
 					}
 				}
-			}
-			if got := upper.row(int32(u)); !slices.Equal(got, wantUp) {
-				t.Fatalf("case %d (%s) point %d: upper row %v, want %v", ci, tc.name, u, got, wantUp)
-			}
-			gotLow := slices.Clone(lower.row(int32(u)))
-			slices.Sort(gotLow)
-			if !slices.Equal(gotLow, wantLow) {
-				t.Fatalf("case %d (%s) point %d: lower row %v, want %v", ci, tc.name, u, gotLow, wantLow)
-			}
-			for k := lower.off[u]; k < lower.off[u+1]; k++ {
-				v, at := lower.val[k], lowerAt[k]
-				if at < upper.off[v] || at >= upper.off[v+1] || upper.val[at] != int32(u) {
-					t.Fatalf("case %d (%s): lower entry (%d, %d) mirrors upper position %d", ci, tc.name, u, v, at)
+				if hasEnd {
+					wantSources++
 				}
+				if ends[u] {
+					prefix := slices.Clone(read.td.upper.val[read.td.upper.off[u]:cut[u]])
+					slices.Sort(prefix)
+					if !slices.Equal(prefix, wantPrefix) {
+						t.Fatalf("case %d (%s) point %d: prefix within %g is %v, want %v", ci, tc.name, u, read.eps, prefix, wantPrefix)
+					}
+				}
+				if got := lower.row(int32(u)); !slices.Equal(got, wantLow) {
+					t.Fatalf("case %d (%s) point %d: lower row within %g is %v, want %v", ci, tc.name, u, read.eps, got, wantLow)
+				}
+				for k := lower.off[u]; k < lower.off[u+1]; k++ {
+					if d := tc.pts[lower.val[k]].Dist(tc.pts[u]); lowerDist[k] != d {
+						t.Fatalf("case %d (%s): lower entry (%d, %d) carries %v, want %v", ci, tc.name, u, lower.val[k], lowerDist[k], d)
+					}
+				}
+			}
+			if sources != wantSources {
+				t.Fatalf("case %d (%s): sources %d within %g, want %d", ci, tc.name, sources, read.eps, wantSources)
 			}
 		}
 	}

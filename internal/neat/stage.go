@@ -76,6 +76,11 @@ type state struct {
 	in    Input
 	frags []traj.TFragment
 	res   *Result
+	// flowSet, when set, is the flow set whose flows at minCard the
+	// refine stage merges (RunFlowSet), so the batched builder may use
+	// and keep its junction table.
+	flowSet *FlowSet
+	minCard int
 }
 
 // Stage is one composable step of a NEAT execution plan. The concrete
@@ -196,7 +201,7 @@ func (s RefineStage) Name() string { return "refine" }
 func (s RefineStage) run(p *Pipeline, st *state) error {
 	sp := st.res.Trace.StartChild("phase3.refine")
 	start := time.Now()
-	clusters, stats, err := RefineFlowsCtx(st.ctx, p.g, st.res.Flows, s.Cfg)
+	clusters, stats, err := refineFlows(st.ctx, p.g, st.res.Flows, s.Cfg, st.flowSet, st.minCard)
 	if err != nil {
 		return fmt.Errorf("neat: phase 3 refinement: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -495,8 +496,11 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 		Refine: neat.RefineConfig{Epsilon: 6500, UseELB: true, Bounded: true, Workers: -1, Cache: sess.Cache(), Fault: sess.Injector()},
 	}
 	if v := q.Get("eps"); v != "" {
+		// !(eps > 0) also rejects NaN. An infinite ε is the library's
+		// unbounded serial scan, one full Dijkstra per endpoint pair,
+		// and no width a read needs: 1e308 already admits every pair.
 		eps, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(eps > 0) { // also rejects NaN
+		if err != nil || !(eps > 0) || math.IsInf(eps, 1) {
 			writeError(w, http.StatusBadRequest, "bad eps %q", v)
 			return
 		}

@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -167,6 +170,41 @@ func TestBadQueries(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("eps=%s: status %d, want 400", eps, resp.StatusCode)
 		}
+	}
+}
+
+// TestNonFiniteEpsRejected pins that every spelling of an infinite ε
+// strconv accepts answers 400 "bad eps": the library would run the
+// serial scan with an unbounded expansion per endpoint pair. The
+// largest finite ε still answers.
+func TestNonFiniteEpsRejected(t *testing.T) {
+	g, ds := testSetup(t)
+	srv := httptest.NewServer(New(g, Config{}).Handler())
+	defer srv.Close()
+	if _, err := NewClient(srv.URL, srv.Client()).Ingest(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+	get := func(eps string) (int, string) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/v1/clusters?mincard=1&eps=" + url.QueryEscape(eps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e ErrorResponse
+		if resp.StatusCode != http.StatusOK {
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+		}
+		return resp.StatusCode, e.Error
+	}
+	for _, eps := range []string{"inf", "+Inf", "Infinity", "-inf", "INF"} {
+		code, msg := get(eps)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "bad eps") {
+			t.Errorf("eps=%s: status %d %q, want 400 bad eps", eps, code, msg)
+		}
+	}
+	if code, msg := get("1e308"); code != http.StatusOK {
+		t.Errorf("eps=1e308: status %d %q, want 200", code, msg)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestDistancesToMatchesBruteForce(t *testing.T) {
 			for i := range targets {
 				targets[i] = roadnet.NodeID(rng.Intn(g.NumNodes()))
 			}
-			got := eng.DistancesTo(from, shortest.Undirected, bound, targets)
+			got := eng.DistancesTo(make([]float64, len(targets)), from, shortest.Undirected, bound, targets)
 			for i, tgt := range targets {
 				want := oracle.NetworkDistance(g, from, tgt, true)
 				if want > bound {

@@ -71,6 +71,7 @@ type Engine struct {
 	epoch   []uint32
 	epochB  []uint32
 	settled []uint32
+	target  []uint32 // DistancesTo: stamped for the current call's targets
 	curEp   uint32
 
 	heap  nodeHeap
@@ -94,6 +95,7 @@ func New(g *roadnet.Graph, stats *Stats) *Engine {
 		epoch:   make([]uint32, n),
 		epochB:  make([]uint32, n),
 		settled: make([]uint32, n),
+		target:  make([]uint32, n),
 	}
 }
 
@@ -116,6 +118,7 @@ func (e *Engine) newEpoch() {
 			e.epoch[i] = 0
 			e.epochB[i] = 0
 			e.settled[i] = 0
+			e.target[i] = 0
 		}
 		e.curEp = 1
 	}
@@ -470,74 +473,78 @@ func (e *Engine) Tree(from roadnet.NodeID, mode Mode, maxDist float64) []float64
 }
 
 // DistancesTo computes bounded one-to-many shortest-path distances: a
-// single expansion from `from` that reports the network distance to
-// each node in targets, pruned at maxDist. The returned slice is
-// parallel to targets; entries farther than maxDist (or unreachable)
-// hold +Inf. The expansion stops as soon as every target is settled or
-// the frontier exceeds maxDist, and it counts as ONE query in Stats —
-// this is the kernel that lets an ε-neighborhood scan collapse many
-// point-to-point probes from the same source into one Dijkstra pass
-// (generalizing Tree, which reports the whole radius-bounded tree).
-func (e *Engine) DistancesTo(from roadnet.NodeID, mode Mode, maxDist float64, targets []roadnet.NodeID) []float64 {
+// single expansion from `from` that writes the network distance to
+// targets[i] into dst[i], pruned at maxDist, and returns
+// dst[:len(targets)]; dst must hold at least len(targets) slots.
+// Entries farther than maxDist (or unreachable) hold +Inf, a target
+// equal to from holds 0, and a repeated target gets the same distance
+// in every slot. The expansion stops as soon as every distinct target
+// is settled or the frontier exceeds maxDist, and it counts as ONE
+// query in Stats — this is the kernel that lets an ε-neighborhood scan
+// collapse many point-to-point probes from the same source into one
+// Dijkstra pass (generalizing Tree, which reports the whole
+// radius-bounded tree). Targets are marked in an epoch-stamped
+// per-node array, so a call allocates nothing.
+func (e *Engine) DistancesTo(dst []float64, from roadnet.NodeID, mode Mode, maxDist float64, targets []roadnet.NodeID) []float64 {
 	e.faults.Sleep(fault.SPQuery)
 	e.stats.Queries.Add(1)
-	out := make([]float64, len(targets))
-	// Targets may repeat; index positions by node so one settle fills
-	// every occurrence.
-	pos := make(map[roadnet.NodeID][]int, len(targets))
-	remaining := 0
-	for i, t := range targets {
-		if t == from {
-			out[i] = 0
-			continue
-		}
-		out[i] = math.Inf(1)
-		pos[t] = append(pos[t], i)
-		remaining++
-	}
-	if remaining == 0 {
-		return out
-	}
+	dst = dst[:len(targets)]
 	e.newEpoch()
-	e.heap.reset()
-	e.setDist(from, 0, -1)
-	e.heap.push(heapItem{node: from, prio: 0})
-	var settledCount int64
-	defer func() { e.stats.SettledNodes.Add(settledCount) }()
-	for e.heap.len() > 0 {
-		it := e.heap.pop()
-		n := it.node
-		if e.settled[n] == e.curEp {
-			continue
+	remaining := 0
+	for _, t := range targets {
+		if t != from && e.target[t] != e.curEp {
+			e.target[t] = e.curEp
+			remaining++
 		}
-		e.settled[n] = e.curEp
-		settledCount++
-		dn := e.getDist(n)
-		if dn > maxDist {
-			return out
-		}
-		if idxs, ok := pos[n]; ok {
-			for _, i := range idxs {
-				out[i] = dn
-			}
-			delete(pos, n)
-			remaining -= len(idxs)
-			if remaining == 0 {
-				return out
-			}
-		}
-		e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
-			if e.settled[next] == e.curEp {
-				return
-			}
-			nd := dn + w
-			if nd <= maxDist && nd < e.getDist(next) {
-				e.setDist(next, nd, via)
-				e.heap.push(heapItem{node: next, prio: nd})
-			}
-		})
 	}
-	return out
+	if remaining > 0 {
+		e.heap.reset()
+		e.setDist(from, 0, -1)
+		e.heap.push(heapItem{node: from, prio: 0})
+		var settledCount int64
+		for e.heap.len() > 0 {
+			it := e.heap.pop()
+			n := it.node
+			if e.settled[n] == e.curEp {
+				continue
+			}
+			e.settled[n] = e.curEp
+			settledCount++
+			dn := e.getDist(n)
+			if dn > maxDist {
+				break
+			}
+			if e.target[n] == e.curEp {
+				if remaining--; remaining == 0 {
+					break
+				}
+			}
+			e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
+				if e.settled[next] == e.curEp {
+					return
+				}
+				nd := dn + w
+				if nd <= maxDist && nd < e.getDist(next) {
+					e.setDist(next, nd, via)
+					e.heap.push(heapItem{node: next, prio: nd})
+				}
+			})
+		}
+		e.stats.SettledNodes.Add(settledCount)
+	}
+	// A settled node's label is final; one settled beyond maxDist
+	// (only the source, when maxDist < 0) reads as beyond it.
+	for i, t := range targets {
+		switch d := e.getDist(t); {
+		case t == from:
+			dst[i] = 0
+		case e.settled[t] == e.curEp && d <= maxDist:
+			dst[i] = d
+		default:
+			dst[i] = math.Inf(1)
+		}
+	}
+	return dst
 }
 
 // LocationRoute computes the shortest travel route between two
