@@ -7,7 +7,7 @@
 //	Definition 2  base cluster          BaseCluster (built by FormBaseClusters)
 //	Definition 3  trajectory cardinality BaseCluster.Cardinality / FlowCluster.Cardinality
 //	Definition 4  cluster density        BaseCluster.Density; dense-core = DenseCore
-//	Definition 5  netflow                Netflow(a, b); FlowCluster.NetflowWith (merge of sorted id lists)
+//	Definition 5  netflow                Netflow(a, b); FlowCluster.NetflowWith (Phase 2 reads ClusterSet's netflow table)
 //	Definition 6  f-neighborhood         ClusterSet.NeighborhoodAt / Neighborhood (Phase 2 runs the same scan)
 //	Definition 7  maxFlow-neighbor       ClusterSet.MaxFlowNeighbor
 //	Definition 8  flow cluster           FlowCluster (built by FormFlowClusters)

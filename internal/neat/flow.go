@@ -3,6 +3,7 @@ package neat
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/roadnet"
@@ -98,7 +99,7 @@ type FlowCluster struct {
 	Route roadnet.Route
 
 	// trajs is PTr(F) as an ascending, repeat-free id list, never
-	// written once built (see BaseCluster.trajs).
+	// written once built: detached flows and clones share it.
 	trajs             []traj.ID
 	frontEnd, backEnd roadnet.NodeID
 	// density is the members' summed t-fragment count, kept by every
@@ -123,7 +124,15 @@ func (f *FlowCluster) ParticipatingTrajectories() []traj.ID { return slices.Clon
 
 // NetflowWith returns f(F, S): the number of trajectories participating
 // in both the flow cluster and the base cluster.
-func (f *FlowCluster) NetflowWith(b *BaseCluster) int { return intersectCount(f.trajs, b.trajs) }
+func (f *FlowCluster) NetflowWith(b *BaseCluster) int {
+	n := 0
+	for _, d := range b.trajs {
+		if f.Participates(b.ids[d]) {
+			n++
+		}
+	}
+	return n
+}
 
 // RouteLength returns the length of the representative route in meters.
 func (f *FlowCluster) RouteLength(g *roadnet.Graph) float64 { return f.Route.Length(g) }
@@ -139,39 +148,48 @@ func (f *FlowCluster) String() string {
 	return fmt.Sprintf("F{|route|=%d |PTr|=%d d=%d}", len(f.Route), f.Cardinality(), f.Density())
 }
 
+// newFlow starts a flow at b. Its participants are the flow builder's
+// to track until it finishes the flow.
 func newFlow(b *BaseCluster, g *roadnet.Graph) *FlowCluster {
 	seg := g.Segment(b.Seg)
-	f := &FlowCluster{
+	return &FlowCluster{
 		Members:  []*BaseCluster{b},
 		Route:    roadnet.Route{b.Seg},
-		trajs:    b.trajs,
 		frontEnd: seg.NI,
 		backEnd:  seg.NJ,
 		density:  b.Density(),
 	}
-	return f
 }
 
-func (f *FlowCluster) absorb(b *BaseCluster, atBack bool, newEnd roadnet.NodeID) {
-	if atBack {
-		f.Members = append(f.Members, b)
-		f.Route = append(f.Route, b.Seg)
-		f.backEnd = newEnd
-	} else {
-		f.Members = append([]*BaseCluster{b}, f.Members...)
-		f.Route = append(roadnet.Route{b.Seg}, f.Route...)
-		f.frontEnd = newEnd
-	}
+// absorb appends b to the flow's back end, which it leaves at newEnd.
+func (f *FlowCluster) absorb(b *BaseCluster, newEnd roadnet.NodeID) {
+	f.Members = append(f.Members, b)
+	f.Route = append(f.Route, b.Seg)
+	f.backEnd = newEnd
 	f.density += b.Density()
-	f.trajs = union(f.trajs, b.trajs)
+}
+
+// reverse turns the growing flow around: its route runs the other way
+// and its ends swap.
+func (f *FlowCluster) reverse() {
+	slices.Reverse(f.Members)
+	slices.Reverse(f.Route)
+	f.frontEnd, f.backEnd = f.backEnd, f.frontEnd
 }
 
 // flowBuilder runs the Phase 2 state machine over the indexed base
-// clusters, marking merged segments as it goes.
+// clusters, marking merged segments as it goes. It belongs to one
+// Phase 2 run, so runs on one set share nothing they write.
 type flowBuilder struct {
 	*ClusterSet
 	cfg    FlowConfig
 	merged []bool // indexed by SegID
+	// neigh is the current expansion's f-neighborhood, reused.
+	neigh []neighbor
+	// in marks the growing flow's participants, one bit per
+	// trajectory at its dense index in the set's index, so adding a
+	// cluster costs its own list and the cardinality is a count.
+	in []uint64
 }
 
 // FormFlowClusters performs Phase 2: it consumes the density-ordered
@@ -194,19 +212,32 @@ func FormFlowClusters(g *roadnet.Graph, base []*BaseCluster, cfg FlowConfig) (fl
 }
 
 // formFlows is Phase 2 over the set with a validated, defaulted cfg:
-// each round seeds a flow from the next unmerged cluster of seeds.
+// each round seeds a flow from the cluster on the next unmerged
+// segment of seeds.
 func (cs *ClusterSet) formFlows(seeds []*BaseCluster, cfg FlowConfig) (flows []*FlowCluster, filtered int) {
-	fb := &flowBuilder{ClusterSet: cs, cfg: cfg, merged: make([]bool, cs.g.NumSegments())}
+	fb := &flowBuilder{
+		ClusterSet: cs,
+		cfg:        cfg,
+		merged:     make([]bool, cs.g.NumSegments()),
+		in:         make([]uint64, (cs.index.len()+63)/64),
+	}
 	for _, seed := range seeds {
 		if fb.merged[seed.Seg] {
 			continue
 		}
+		seed = cs.bySeg[seed.Seg]
 		f := newFlow(seed, cs.g)
 		fb.merged[seed.Seg] = true
-		for fb.expand(f, true) {
+		fb.add(seed)
+		// Grow the back end, then the front one: reversed, the front
+		// end is the back, so each absorb appends.
+		for fb.expand(f) {
 		}
-		for fb.expand(f, false) {
+		f.reverse()
+		for fb.expand(f) {
 		}
+		f.reverse()
+		fb.finish(f)
 		if f.Cardinality() >= cfg.MinCard {
 			flows = append(flows, f)
 		} else {
@@ -216,37 +247,77 @@ func (cs *ClusterSet) formFlows(seeds []*BaseCluster, cfg FlowConfig) (flows []*
 	return flows, filtered
 }
 
-// expand attempts to grow the flow by one base cluster at the back or
-// front end, returning whether a cluster was absorbed.
-func (fb *flowBuilder) expand(f *FlowCluster, atBack bool) bool {
-	var cur *BaseCluster
-	var nu roadnet.NodeID
-	if atBack {
-		cur = f.Members[len(f.Members)-1]
-		nu = f.backEnd
-	} else {
-		cur = f.Members[0]
-		nu = f.frontEnd
+// add marks b's participants in the growing flow. Its list is
+// ascending, so it gathers the bits of one word before it writes it.
+func (fb *flowBuilder) add(b *BaseCluster) {
+	in := fb.in
+	w, set := int32(-1), uint64(0)
+	for _, d := range b.trajs {
+		if d>>6 != w {
+			if w >= 0 {
+				in[w] |= set
+			}
+			w, set = d>>6, 0
+		}
+		set |= 1 << (d & 63)
 	}
-	neigh := fb.neighborhoodAt(cur, nu, fb.merged)
+	if w >= 0 {
+		in[w] |= set
+	}
+}
+
+// flowWith returns f(F, b) for the growing flow F.
+func (fb *flowBuilder) flowWith(b *BaseCluster) int {
+	n := 0
+	for _, d := range b.trajs {
+		n += int(fb.in[d>>6] >> (d & 63) & 1)
+	}
+	return n
+}
+
+// finish gives f its ascending participant list, the marked
+// trajectories' ids sorted, and clears the marks for the next flow.
+func (fb *flowBuilder) finish(f *FlowCluster) {
+	card := 0
+	for _, word := range fb.in {
+		card += bits.OnesCount64(word)
+	}
+	if card == 0 {
+		return
+	}
+	ids := fb.index.ids
+	f.trajs = make([]traj.ID, 0, card)
+	for w, word := range fb.in {
+		for ; word != 0; word &= word - 1 {
+			f.trajs = append(f.trajs, ids[w<<6|bits.TrailingZeros64(word)])
+		}
+	}
+	slices.Sort(f.trajs)
+	clear(fb.in)
+}
+
+// expand attempts to grow the flow by one base cluster at its back
+// end, returning whether a cluster was absorbed.
+func (fb *flowBuilder) expand(f *FlowCluster) bool {
+	cur, nu := f.Members[len(f.Members)-1], f.backEnd
+	fb.neigh = fb.fNeighbors(fb.neigh[:0], cur, nu, fb.merged)
+	neigh := fb.dominationRework(nu, fb.neigh)
 	if len(neigh) == 0 {
 		return false
 	}
-	neigh = fb.dominationRework(cur, neigh)
-	if len(neigh) == 0 {
-		return false
-	}
-	chosen := fb.selectNeighbor(f, cur, neigh)
+	chosen := fb.selectNeighbor(cur, neigh)
 	fb.merged[chosen.Seg] = true
-	f.absorb(chosen, atBack, fb.g.Segment(chosen.Seg).OtherEnd(nu))
+	f.absorb(chosen, fb.g.Segment(chosen.Seg).OtherEnd(nu))
+	fb.add(chosen)
 	return true
 }
 
-// dominationRework applies the β rule of §III-B2: while some netflow
-// between two f-neighbors of S dominates the maxFlow of S at this
-// endpoint, those two neighbors belong to a different flow — remove
-// them and restart with the updated neighborhood.
-func (fb *flowBuilder) dominationRework(s *BaseCluster, neigh []*BaseCluster) []*BaseCluster {
+// dominationRework applies the β rule of §III-B2 to Nf(S, nu): while
+// some netflow between two f-neighbors of S dominates the maxFlow of S
+// at this endpoint, those two neighbors belong to a different flow —
+// remove them and restart with the updated neighborhood. Both meet S
+// at nu, so the table holds their netflow.
+func (fb *flowBuilder) dominationRework(nu roadnet.NodeID, neigh []neighbor) []neighbor {
 	if math.IsInf(fb.cfg.Beta, 1) {
 		return neigh
 	}
@@ -256,8 +327,8 @@ func (fb *flowBuilder) dominationRework(s *BaseCluster, neigh []*BaseCluster) []
 		}
 		maxFlow := 0
 		for _, nb := range neigh {
-			if nf := Netflow(s, nb); nf > maxFlow {
-				maxFlow = nf
+			if nb.flow > maxFlow {
+				maxFlow = nb.flow
 			}
 		}
 		if maxFlow == 0 {
@@ -266,13 +337,13 @@ func (fb *flowBuilder) dominationRework(s *BaseCluster, neigh []*BaseCluster) []
 		removed := false
 		for i := 0; i < len(neigh) && !removed; i++ {
 			for j := i + 1; j < len(neigh) && !removed; j++ {
-				cross := Netflow(neigh[i], neigh[j])
+				cross := fb.netflow[fb.pair(nu, neigh[i].at, neigh[j].at)]
 				if cross > 0 && float64(cross)/float64(maxFlow) >= fb.cfg.Beta {
 					// Drop both; they will seed their own flow later.
-					pair := [2]roadnet.SegID{neigh[i].Seg, neigh[j].Seg}
+					pair := [2]roadnet.SegID{neigh[i].b.Seg, neigh[j].b.Seg}
 					kept := neigh[:0]
 					for _, nb := range neigh {
-						if nb.Seg != pair[0] && nb.Seg != pair[1] {
+						if nb.b.Seg != pair[0] && nb.b.Seg != pair[1] {
 							kept = append(kept, nb)
 						}
 					}
@@ -287,18 +358,18 @@ func (fb *flowBuilder) dominationRework(s *BaseCluster, neigh []*BaseCluster) []
 	}
 }
 
-// selectNeighbor picks the neighbor with the highest merging
+// selectNeighbor picks the neighbor of s with the highest merging
 // selectivity SF (Definition 10). Ties are broken by the netflow
 // between the whole flow cluster and the candidate (§III-B2's "we can
 // consider the netflows between the flow cluster under consideration
 // ... and the candidate base clusters"), then by segment id.
-func (fb *flowBuilder) selectNeighbor(f *FlowCluster, s *BaseCluster, neigh []*BaseCluster) *BaseCluster {
+func (fb *flowBuilder) selectNeighbor(s *BaseCluster, neigh []neighbor) *BaseCluster {
 	w := fb.cfg.Weights
 	var densSum float64 = float64(s.Density())
 	var speedSum float64
 	for _, nb := range neigh {
-		densSum += float64(nb.Density())
-		speedSum += fb.g.Segment(nb.Seg).SpeedLimit
+		densSum += float64(nb.b.Density())
+		speedSum += fb.g.Segment(nb.b.Seg).SpeedLimit
 	}
 	card := float64(s.Cardinality())
 
@@ -306,10 +377,11 @@ func (fb *flowBuilder) selectNeighbor(f *FlowCluster, s *BaseCluster, neigh []*B
 	var best *BaseCluster
 	var bestSF float64
 	var bestFlowTie int
-	for _, nb := range neigh {
+	for _, n := range neigh {
+		nb := n.b
 		q := 0.0
 		if card > 0 {
-			q = float64(Netflow(s, nb)) / card
+			q = float64(n.flow) / card
 		}
 		k := 0.0
 		if densSum > 0 {
@@ -326,9 +398,9 @@ func (fb *flowBuilder) selectNeighbor(f *FlowCluster, s *BaseCluster, neigh []*B
 		case sf > bestSF-eps:
 			// Tie on SF: compare f(F, candidate).
 			if bestFlowTie < 0 {
-				bestFlowTie = f.NetflowWith(best)
+				bestFlowTie = fb.flowWith(best)
 			}
-			ft := f.NetflowWith(nb)
+			ft := fb.flowWith(nb)
 			if ft > bestFlowTie || (ft == bestFlowTie && nb.Seg < best.Seg) {
 				best, bestSF, bestFlowTie = nb, sf, ft
 			}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/distcache"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -23,8 +24,9 @@ import (
 // FlowSet is the parameter-independent product of Phases 1–2 over one
 // fragment set. It holds no base cluster and no t-fragment: counts,
 // detached flows and, once a batched read has refined it, the
-// junction-distance table of its loosest such read, so keeping one per
-// published dataset is cheap. It is safe for concurrent reads.
+// junction-distance table of its loosest such read that fits the
+// read's distance cache, so keeping one per published dataset is
+// cheap. It is safe for concurrent reads.
 type FlowSet struct {
 	// BaseClusters is the number of Phase 1 base clusters.
 	BaseClusters int
@@ -42,8 +44,9 @@ type FlowSet struct {
 // its own, an ε at most its own), only the predicate pass runs: no
 // grid scan, no cache probe, no shortest path, and stats say
 // FromTable. Otherwise the read builds its own table through the cache
-// and keeps it if it covers the kept one on both axes; a table looser
-// on one axis and tighter on the other stays.
+// and keeps it if it covers the kept one on both axes and holds no
+// more pairs than keepLimit; a table looser on one axis and tighter on
+// the other stays.
 func (fs *FlowSet) epsGraph(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, minCard int, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
 	t := fs.table.Load()
 	if t.answers(g, minCard, cfg.Epsilon) {
@@ -63,7 +66,7 @@ func (fs *FlowSet) epsGraph(ctx context.Context, g *roadnet.Graph, flows []*Flow
 		return nil, err
 	}
 	t.minCard = minCard
-	for {
+	for len(t.upper.val) <= keepLimit(cfg.Cache) {
 		kept := fs.table.Load()
 		if kept != nil && !t.answers(kept.g, kept.minCard, kept.eps) {
 			break
@@ -73,6 +76,18 @@ func (fs *FlowSet) epsGraph(ctx context.Context, g *roadnet.Graph, flows []*Flow
 		}
 	}
 	return t.epsGraph(ctx, flows, cfg, stats)
+}
+
+// keepLimit is the most pairs a kept junction table may hold: the
+// read's distance-cache capacity (distcache.DefaultEntries with no
+// cache). Each pair is a distance the cache would hold, so a kept
+// table never pins more than a full cache does, and a read too wide
+// for it builds through the cache instead.
+func keepLimit(c *distcache.Cache) int {
+	if c == nil {
+		return distcache.DefaultEntries
+	}
+	return c.Cap()
 }
 
 // Detached returns a copy of f without its member base clusters: the
@@ -119,7 +134,10 @@ func (p *Pipeline) BuildFlowSet(ctx context.Context, kept *ClusterSet, frags []t
 		return nil, nil, err
 	}
 	if kept == nil {
-		kept = &ClusterSet{g: p.g, bySeg: make([]*BaseCluster, p.g.NumSegments())}
+		var err error
+		if kept, err = NewClusterSet(p.g, nil); err != nil {
+			return nil, nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

@@ -230,3 +230,47 @@ func TestKeptTableConcurrentReads(t *testing.T) {
 		}
 	}
 }
+
+// TestKeptTableBoundedByCache pins the keep bound: a read whose table
+// holds more pairs than the read's distance cache does builds and
+// answers as any other, but does not replace the kept table, so a
+// narrower read after it is still answered from the kept one.
+func TestKeptTableBoundedByCache(t *testing.T) {
+	p, fs := tableScenario(t, 200)
+	read := func(eps float64, minCard int, cache *distcache.Cache) RefineStats {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Flow.MinCard = minCard
+		cfg.Refine = RefineConfig{Epsilon: eps, UseELB: true, Bounded: true, Workers: -1, Cache: cache}
+		res, err := p.RunFlowSet(context.Background(), fs, cfg, LevelOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, want, _ := serialRead(t, p, fs, eps, minCard); !sameClusters(want, res.Clusters) {
+			t.Fatalf("ε %g minCard %d: clustering differs from the serial scan", eps, minCard)
+		}
+		return res.RefineStats
+	}
+	read(800, 4, distcache.New(0))
+	kept := fs.table.Load()
+	if kept == nil {
+		t.Fatal("first read kept no table")
+	}
+	// A cache just large enough for the kept table's pairs, far too
+	// small for the pairs within 2 km.
+	small := distcache.New(len(kept.upper.val) + 64)
+	if st := read(2000, 3, small); st.FromTable {
+		t.Fatal("a read the kept table does not cover was answered from it")
+	}
+	if got := fs.table.Load(); got != kept {
+		t.Fatalf("a table over the cache's %d entries replaced the kept one", small.Cap())
+	}
+	if st := read(700, 5, small); !st.FromTable {
+		t.Fatal("a read the kept table covers was not answered from it")
+	}
+	// The server's cache keeps param_sweep's table (20,705 pairs at ε
+	// 1500, minCard 3).
+	if keepLimit(distcache.New(0)) < 20705 || keepLimit(nil) != distcache.DefaultEntries {
+		t.Fatalf("keep limits %d (default cache) and %d (none)", keepLimit(distcache.New(0)), keepLimit(nil))
+	}
+}

@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/proptest"
 	"repro/internal/roadnet"
+	"repro/internal/traj"
 )
 
 // sameFlows reports the first difference between two flow lists: order,
@@ -270,5 +273,90 @@ func TestMergeFlowsTraceName(t *testing.T) {
 		if res.Trace.Find(name) == nil {
 			t.Errorf("merge trace lacks %s", name)
 		}
+	}
+}
+
+// TestConcurrentBuildsOnOneSet runs Phase 2 from several goroutines
+// over one kept set: each folds its own batch into it and forms flows
+// under its own settings. Each must equal the same build over a twin
+// of the set, and the kept set must be left as it was. Each batch
+// brings one trajectory the set has not seen and refolds some it has,
+// so it fits the spare capacity of the set's id array: the build that
+// claims it appends in place while the others copy the array and run
+// Phase 2 over it. Run it under the race detector.
+func TestConcurrentBuildsOnOneSet(t *testing.T) {
+	g, ds := proptest.SimScenario(t, 160)
+	p := NewPipeline(g)
+	frags, err := p.Partition(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []int // where each trajectory's fragments start
+	for i, f := range frags {
+		if i == 0 || f.Traj != frags[i-1].Traj {
+			starts = append(starts, i)
+		}
+	}
+	const builds = 4
+	half := len(starts) / 2
+	split := starts[half]
+	ctx := context.Background()
+	twin := func() *ClusterSet {
+		_, cs, err := p.BuildFlowSet(ctx, nil, frags[:split], Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	ref, kept := twin(), twin()
+	x := kept.index
+	if cap(x.ids) == len(x.ids) {
+		t.Fatalf("the kept set's id array of %d ids has no spare capacity", len(x.ids))
+	}
+	before := renderSet(kept)
+	batches := make([][]traj.TFragment, builds)
+	for i := range batches {
+		batches[i] = slices.Concat(frags[starts[half+i]:starts[half+i+1]], frags[i*split/builds:(i+1)*split/builds])
+	}
+	cfgs := []Config{{}, {Flow: FlowConfig{Weights: WeightsBalanced, Beta: 2}}}
+	build := func(pp *Pipeline, cs *ClusterSet, i int) (string, *ClusterSet) {
+		fs, next, err := pp.BuildFlowSet(ctx, cs, batches[i], cfgs[i%len(cfgs)])
+		if err != nil {
+			t.Error(err)
+			return "", nil
+		}
+		return renderFlows(fs.Flows, 0), next
+	}
+	want := make([]string, builds)
+	for i := range want {
+		want[i], _ = build(p, ref, i)
+	}
+	nexts := make([]*ClusterSet, builds)
+	var wg sync.WaitGroup
+	for i := range want {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var got string
+			if got, nexts[i] = build(NewPipeline(g), kept, i); got != want[i] {
+				t.Errorf("build %d differs from the same build on a twin set", i)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	inPlace := 0
+	for _, next := range nexts {
+		if y := next.index; y != x && &y.ids[0] == &x.ids[0] {
+			inPlace++
+		}
+	}
+	if inPlace != 1 {
+		t.Fatalf("%d builds appended to the kept set's id array in place, want 1", inPlace)
+	}
+	if renderSet(kept) != before {
+		t.Fatal("concurrent builds changed the kept set")
 	}
 }

@@ -2,6 +2,7 @@ package neat
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -20,17 +21,18 @@ import (
 // fields. The participating-trajectory list is derived from the
 // fragments, exactly as FormBaseClusters derives it.
 func RestoreBaseCluster(seg roadnet.SegID, frags []traj.TFragment) *BaseCluster {
-	ids := make([]traj.ID, len(frags))
+	var num numbering
+	dense := make([]int32, len(frags))
 	for i, f := range frags {
-		ids[i] = f.Traj
+		dense[i] = num.of(f.Traj)
 	}
-	return &BaseCluster{Seg: seg, Fragments: frags, trajs: sortedIDs(ids), density: len(frags)}
+	return &BaseCluster{Seg: seg, Fragments: frags, trajs: sortedDense(dense), ids: num.index().numbered(), density: len(frags)}
 }
 
 // RestoreFlow rebuilds a flow cluster from its serialized fields:
 // members in route order, the representative route, and the two free
 // endpoint junctions. The trajectory list is the union of the members'
-// lists (the invariant newFlow/absorb maintain). It validates the
+// lists (the invariant Phase 2 maintains). It validates the
 // route/member correspondence so a corrupt checkpoint cannot smuggle
 // in a flow the pipeline could never have built.
 func RestoreFlow(members []*BaseCluster, route roadnet.Route, front, back roadnet.NodeID) (*FlowCluster, error) {
@@ -46,6 +48,7 @@ func RestoreFlow(members []*BaseCluster, route roadnet.Route, front, back roadne
 		frontEnd: front,
 		backEnd:  back,
 	}
+	var ids []traj.ID
 	for i, m := range members {
 		if m == nil {
 			return nil, fmt.Errorf("neat: restore flow: nil member %d", i)
@@ -54,8 +57,12 @@ func RestoreFlow(members []*BaseCluster, route roadnet.Route, front, back roadne
 			return nil, fmt.Errorf("neat: restore flow: member %d on segment %d but route says %d", i, m.Seg, route[i])
 		}
 		f.density += m.Density()
-		f.trajs = union(f.trajs, m.trajs)
+		for _, d := range m.trajs {
+			ids = append(ids, m.ids[d])
+		}
 	}
+	slices.Sort(ids)
+	f.trajs = slices.Clip(slices.Compact(ids))
 	return f, nil
 }
 
@@ -110,8 +117,9 @@ func CacheScope(g *roadnet.Graph, cfg RefineConfig) string {
 // Clone deep-copies the cluster: the flow list and every flow down to
 // the fragment point slices are fresh allocations, so mutating the
 // clone can never corrupt pipeline or clusterer state. (The
-// participating-trajectory lists are shared — they are immutable after
-// construction and identity does not leak through any accessor.)
+// participating-trajectory lists and base clusters' id numberings are
+// shared — they are immutable after construction and identity does
+// not leak through any accessor.)
 func (c *TrajectoryCluster) Clone() *TrajectoryCluster {
 	if c == nil {
 		return nil
@@ -151,6 +159,7 @@ func (b *BaseCluster) Clone() *BaseCluster {
 		Seg:       b.Seg,
 		Fragments: make([]traj.TFragment, len(b.Fragments)),
 		trajs:     b.trajs,
+		ids:       b.ids,
 		density:   b.density,
 	}
 	for i, fr := range b.Fragments {

@@ -83,8 +83,9 @@ func renderBase(bs []*BaseCluster) string {
 	return b.String()
 }
 
-// renderSet renders a cluster set's order and its index, so that two
-// renders differ if anything reachable from the set was written.
+// renderSet renders a cluster set's order, its index by segment, its
+// trajectory index and its netflow table, so that two renders differ
+// if anything reachable from the set was written.
 func renderSet(cs *ClusterSet) string {
 	var b strings.Builder
 	b.WriteString(renderBase(cs.order))
@@ -93,6 +94,10 @@ func renderSet(cs *ClusterSet) string {
 			fmt.Fprintf(&b, "index %d: %s frags=%d\n", seg, renderBase([]*BaseCluster{c}), len(c.Fragments))
 		}
 	}
+	if x := cs.index; x != nil {
+		fmt.Fprintf(&b, "ids=%v sorted=%v byRank=%v\n", x.ids, x.sorted, x.byRank)
+	}
+	fmt.Fprintf(&b, "netflow=%v\n", cs.netflow)
 	return b.String()
 }
 
@@ -100,7 +105,9 @@ func renderSet(cs *ClusterSet) string {
 // then folds a batch whose ids all sort below the folded ones, a batch
 // on folded segments only (half its fragments repeat a folded one, half
 // carry new ids) and an empty batch. After each fold the set must equal
-// FormBaseClusters over everything folded so far, hold no fragments, and
+// FormBaseClusters over everything folded so far, hold no fragments,
+// carry the netflow table NewClusterSet fills over those clusters, whose
+// entries are Definition 5's netflows (checkNetflowTable), and
 // leave every earlier set unchanged. A batch with an off-graph fragment
 // must fail and leave the set unchanged.
 func checkFolds(t *testing.T, what string, g *roadnet.Graph, rng *rand.Rand, frags []traj.TFragment) {
@@ -145,9 +152,18 @@ func checkFolds(t *testing.T, what string, g *roadnet.Graph, rng *rand.Rand, fra
 			t.Fatalf("%s fold %d: %v", what, i, err)
 		}
 		folded = append(folded, batch...)
-		if got, want := renderBase(next.order), renderBase(FormBaseClusters(folded)); got != want {
+		base := FormBaseClusters(folded)
+		if got, want := renderBase(next.order), renderBase(base); got != want {
 			t.Fatalf("%s fold %d: set\n%s\nwant FormBaseClusters over everything folded:\n%s", what, i, got, want)
 		}
+		fresh, err := NewClusterSet(g, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(next.netflow, fresh.netflow) {
+			t.Fatalf("%s fold %d: netflow table differs from one built from scratch", what, i)
+		}
+		checkNetflowTable(t, fmt.Sprintf("%s fold %d", what, i), next, folded)
 		indexed := 0
 		for seg, c := range next.bySeg {
 			if c == nil {

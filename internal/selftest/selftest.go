@@ -1,10 +1,12 @@
 // Package selftest drives the differential correctness harness: it
 // generates seeded random instances with internal/proptest, runs the
-// optimized pipeline (internal/neat) and the naive reference
-// (internal/oracle) on each, and demands byte-identical canonical
-// summaries — cluster membership, representative routes, participant
-// sets, and filter counts. On a mismatch it bisects the dataset to a
-// minimal counterexample and reports a one-line reproduction command.
+// optimized pipeline (internal/neat), the read a server serves (the
+// instance ingested in batches through internal/session) and the naive
+// reference (internal/oracle) on each, and demands byte-identical
+// canonical summaries — cluster membership, representative routes,
+// participant sets, and filter counts. On a mismatch it bisects the
+// dataset to a minimal counterexample and reports a one-line
+// reproduction command.
 //
 // The package exists separately from internal/proptest so that the
 // in-package tests of internal/neat can import proptest without an
@@ -14,8 +16,11 @@
 package selftest
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/distcache"
@@ -23,6 +28,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/proptest"
 	"repro/internal/roadnet"
+	"repro/internal/session"
 	"repro/internal/traj"
 )
 
@@ -233,22 +239,120 @@ func checkInstance(g *roadnet.Graph, ds traj.Dataset, d proptest.Draw) error {
 	return nil
 }
 
-// CheckSeed runs the differential check for one seed. A nil return
-// means the optimized pipeline and the oracle agreed byte for byte.
+// servedRender renders what a session read answers: the filtered count,
+// the flows with their participant lists (a served flow is detached
+// from its members) and the clusters. A session read carries no base
+// clusters and no fragment count, so neither side renders them.
+func servedRender(r *neat.Result) string {
+	s := summary{filtered: r.FilteredFlows}
+	index := make(map[*neat.FlowCluster]int, len(r.Flows))
+	for i, f := range r.Flows {
+		index[f] = i
+		s.flows = append(s.flows, fmt.Sprintf("flow %d route=%v trajs=%v", i, []roadnet.SegID(f.Route), f.ParticipatingTrajectories()))
+	}
+	for ci, c := range r.Clusters {
+		idxs := make([]int, len(c.Flows))
+		for k, f := range c.Flows {
+			idxs[k] = index[f]
+		}
+		s.clusters = append(s.clusters, fmt.Sprintf("cluster %d flows=%v", ci, idxs))
+	}
+	return s.render()
+}
+
+// oracleServedRender renders an oracle result as servedRender does.
+func oracleServedRender(r *oracle.Result) string {
+	r2 := *r
+	r2.NumFragments, r2.Base = 0, nil
+	return CanonicalOracle(&r2)
+}
+
+// servedBatches splits ds into the 2–4 ingest batches the served leg
+// sends for seed: contiguous runs of trajectories, each non-empty
+// where ds allows.
+func servedBatches(ds traj.Dataset, seed int64) [][]traj.Trajectory {
+	rng := rand.New(rand.NewSource(seed))
+	n := len(ds.Trajectories)
+	cuts := []int{0, n}
+	for k := 1 + rng.Intn(3); k > 0 && n > 1; k-- {
+		cuts = append(cuts, 1+rng.Intn(n-1))
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	var out [][]traj.Trajectory
+	for i := 1; i < len(cuts); i++ {
+		out = append(out, ds.Trajectories[cuts[i-1]:cuts[i]])
+	}
+	return out
+}
+
+// checkServed is the served-read leg: it ingests ds in batches through
+// a session.Session, as the server does, and after each batch compares
+// a read at the draw's weights, β, minCard, ε and level, with the
+// server's Phase 3 settings (the batched builder on the session's
+// shared cache), against the oracle over the batches so far. The read
+// folds each batch into the session's kept base-cluster set and
+// filters its minCard-0 flow set, which no Pipeline.Run exercises.
+func checkServed(g *roadnet.Graph, ds traj.Dataset, d proptest.Draw, seed int64) error {
+	ncfg, ocfg, nl, ol := Materialize(d)
+	sess, err := session.New("selftest", g, session.Config{})
+	if err != nil {
+		return err
+	}
+	defer sess.Close()
+	ncfg.Refine = neat.RefineConfig{Epsilon: d.Epsilon, MinPts: d.MinPts, UseELB: true, Bounded: true, Workers: -1, Cache: sess.Cache()}
+	ctx := context.Background()
+	var sofar traj.Dataset
+	for bi, batch := range servedBatches(ds, seed) {
+		sofar.Trajectories = append(sofar.Trajectories, batch...)
+		ores, oerr := oracle.RunNEAT(g, sofar, ocfg, ol)
+		ids := make([]traj.ID, len(batch))
+		for i, tr := range batch {
+			ids[i] = tr.ID
+		}
+		_, nerr := sess.Ingest(ctx, ids, func(i int) (traj.Trajectory, error) { return batch[i], nil })
+		var res *neat.Result
+		if nerr == nil {
+			var fs *neat.FlowSet
+			if fs, nerr = sess.Flows(ctx, sess.Current(), ncfg); nerr == nil {
+				res, nerr = sess.Refine(ctx, fs, ncfg, nl)
+			}
+		}
+		if (nerr != nil) != (oerr != nil) {
+			return fmt.Errorf("served batch %d: error mismatch: session=%v oracle=%v", bi, nerr, oerr)
+		}
+		if nerr != nil {
+			return nil // both rejected the data so far identically
+		}
+		if diff := Diff(servedRender(res), oracleServedRender(ores)); diff != "" {
+			return fmt.Errorf("served batch %d: outputs diverge: %s", bi, diff)
+		}
+	}
+	return nil
+}
+
+// CheckSeed runs the differential check for one seed: the pipeline
+// (checkInstance) and the served read (checkServed) against the
+// oracle. A nil return means both agreed with it byte for byte.
 func CheckSeed(seed int64) error {
 	g, ds, d, err := Instance(seed)
 	if err != nil {
 		return fmt.Errorf("seed %d: instance generation: %w", seed, err)
 	}
-	if err := checkInstance(g, ds, d); err != nil {
-		// Bisect the dataset to a minimal counterexample before
-		// reporting; the shrunk size tells the investigator how much
-		// input actually matters.
-		small := proptest.ShrinkDataset(ds, func(cand traj.Dataset) bool {
-			return checkInstance(g, cand, d) != nil
-		})
-		return fmt.Errorf("seed %d: %w (shrunk to %d of %d trajectories)\nreproduce: neatcli selftest -seed %d -n 1",
-			seed, err, len(small.Trajectories), len(ds.Trajectories), seed)
+	for _, check := range []func(traj.Dataset) error{
+		func(ds traj.Dataset) error { return checkInstance(g, ds, d) },
+		func(ds traj.Dataset) error { return checkServed(g, ds, d, seed) },
+	} {
+		if err := check(ds); err != nil {
+			// Bisect the dataset to a minimal counterexample before
+			// reporting; the shrunk size tells the investigator how
+			// much input actually matters.
+			small := proptest.ShrinkDataset(ds, func(cand traj.Dataset) bool {
+				return check(cand) != nil
+			})
+			return fmt.Errorf("seed %d: %w (shrunk to %d of %d trajectories)\nreproduce: neatcli selftest -seed %d -n 1",
+				seed, err, len(small.Trajectories), len(ds.Trajectories), seed)
+		}
 	}
 	return nil
 }
