@@ -3,6 +3,8 @@ package obs
 import (
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,28 +14,57 @@ import (
 //
 // routes is the closed set of paths served by next; requests whose
 // path is not in the set are recorded under route="other" so arbitrary
-// client paths cannot inflate series cardinality. Passing a nil
-// registry returns next unchanged.
+// client paths cannot inflate series cardinality. Each route's series
+// are looked up in reg once, by the first request that records into
+// them, so a series still appears only after a request used it.
+// Passing a nil registry returns next unchanged.
 func Middleware(reg *Registry, next http.Handler, routes ...string) http.Handler {
 	if reg == nil {
 		return next
 	}
-	known := make(map[string]struct{}, len(routes))
+	known := make(map[string]*routeSeries, len(routes))
 	for _, rt := range routes {
-		known[rt] = struct{}{}
+		known[rt] = &routeSeries{reg: reg, route: rt}
 	}
+	other := &routeSeries{reg: reg, route: "other"}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := r.URL.Path
-		if _, ok := known[route]; !ok {
-			route = "other"
+		rs, ok := known[r.URL.Path]
+		if !ok {
+			rs = other
 		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(rec, r)
-		reg.Histogram("http_request_duration_seconds", DefBuckets, L("route", route)).
-			ObserveDuration(time.Since(start))
-		reg.Counter("http_requests_total", L("route", route), L("code", strconv.Itoa(rec.status))).Inc()
+		rs.histogram().ObserveDuration(time.Since(start))
+		rs.counter(rec.status).Inc()
 	})
+}
+
+// routeSeries holds one route's series once they are resolved: the
+// latency histogram and the counter of each status code. Racing first
+// uses resolve the same series.
+type routeSeries struct {
+	reg   *Registry
+	route string
+	hist  atomic.Pointer[Histogram]
+	codes sync.Map // int status code → *Counter
+}
+
+func (s *routeSeries) histogram() *Histogram {
+	if h := s.hist.Load(); h != nil {
+		return h
+	}
+	h := s.reg.Histogram("http_request_duration_seconds", DefBuckets, L("route", s.route))
+	s.hist.Store(h)
+	return h
+}
+
+func (s *routeSeries) counter(code int) *Counter {
+	if c, ok := s.codes.Load(code); ok {
+		return c.(*Counter)
+	}
+	c, _ := s.codes.LoadOrStore(code, s.reg.Counter("http_requests_total", L("route", s.route), L("code", strconv.Itoa(code))))
+	return c.(*Counter)
 }
 
 // statusRecorder captures the status code written by the handler;

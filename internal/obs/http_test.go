@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,6 +41,62 @@ func TestMiddlewareRecords(t *testing.T) {
 	_ = r.WritePrometheus(&b)
 	if !strings.Contains(b.String(), "http_request_duration_seconds_bucket") {
 		t.Error("latency histogram missing from exposition")
+	}
+}
+
+// TestMiddlewareConcurrentFirstUse sends the first requests of several
+// routes and status codes from many goroutines at once (run it under
+// -race): every request is counted once in its route's series, and a
+// route or code no request used has no series.
+func TestMiddlewareConcurrentFirstUse(t *testing.T) {
+	r := NewRegistry()
+	next := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		code, _ := strconv.Atoi(req.URL.Query().Get("code"))
+		w.WriteHeader(code)
+	})
+	h := Middleware(r, next, "/a", "/b", "/unused")
+	paths := []string{"/a", "/b", "/elsewhere"}
+	codes := []int{200, 404, 503}
+	const workers, rounds = 8, 30
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				p, c := paths[(w+i)%len(paths)], codes[(w*7+i)%len(codes)]
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", fmt.Sprintf("%s?code=%d", p, c), nil))
+			}
+		}()
+	}
+	wg.Wait()
+
+	want := map[[2]string]int64{}
+	perRoute := map[string]int64{}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < rounds; i++ {
+			route := paths[(w+i)%len(paths)]
+			if route == "/elsewhere" {
+				route = "other"
+			}
+			want[[2]string{route, strconv.Itoa(codes[(w*7+i)%len(codes)])}]++
+			perRoute[route]++
+		}
+	}
+	for k, n := range want {
+		if got := r.Counter("http_requests_total", L("route", k[0]), L("code", k[1])).Value(); got != n {
+			t.Errorf("route %s code %s: %d requests counted, want %d", k[0], k[1], got, n)
+		}
+	}
+	for route, n := range perRoute {
+		if got := r.Histogram("http_request_duration_seconds", DefBuckets, L("route", route)).Count(); got != n {
+			t.Errorf("route %s: %d latencies observed, want %d", route, got, n)
+		}
+	}
+	var b strings.Builder
+	_ = r.WritePrometheus(&b)
+	if strings.Contains(b.String(), "/unused") {
+		t.Error("a route no request used has series")
 	}
 }
 

@@ -72,17 +72,7 @@ func TestMemoizedReadsMatchFreshRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ClusterResponse{Level: res.Level.String(), BaseClusters: len(res.BaseClusters)}
-			for _, f := range res.Flows {
-				want.Flows = append(want.Flows, flowDTO(g, f))
-			}
-			for _, cl := range res.Clusters {
-				dto := ClusterDTO{Cardinality: cl.Cardinality()}
-				for _, f := range cl.Flows {
-					dto.Flows = append(dto.Flows, flowDTO(g, f))
-				}
-				want.Clusters = append(want.Clusters, dto)
-			}
+			want := clusterResponse(g, res, len(res.BaseClusters))
 			gb, _ := json.Marshal(got)
 			wb, _ := json.Marshal(want)
 			if string(gb) != string(wb) {

@@ -538,7 +538,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 	}
 	if hit, ok := sn.Result(cacheKey); ok {
 		sess.Metrics().CacheHits.Inc()
-		writeJSON(w, http.StatusOK, hit.(ClusterResponse))
+		writeBody(w, hit.([]byte))
 		return
 	}
 	sess.Metrics().CacheMisses.Inc()
@@ -561,26 +561,17 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 		writeError(w, http.StatusInternalServerError, "clustering: %v", err)
 		return
 	}
-	resp := ClusterResponse{
-		Level:        res.Level.String(),
-		BaseClusters: fs.BaseClusters,
-		ElapsedMs:    float64(time.Since(start).Microseconds()) / 1000,
+	elapsed := float64(time.Since(start).Microseconds()) / 1000
+	body, err := renderClusters(sn, sess.Graph(), res, fs.BaseClusters, elapsed)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "render: %v", err)
+		return
 	}
-	for _, f := range res.Flows {
-		resp.Flows = append(resp.Flows, flowDTO(sess.Graph(), f))
-	}
-	for _, c := range res.Clusters {
-		dto := ClusterDTO{Cardinality: c.Cardinality()}
-		for _, f := range c.Flows {
-			dto.Flows = append(dto.Flows, flowDTO(sess.Graph(), f))
-		}
-		resp.Clusters = append(resp.Clusters, dto)
-	}
-	// Memoize on the snapshot (publication of the successor is the
-	// invalidation) and keep it as the degraded-mode fallback.
-	sn.StoreResult(cacheKey, resp)
-	sess.SetLastGood(cacheKey, resp)
-	writeJSON(w, http.StatusOK, resp)
+	// Memoize the bytes on the snapshot (publication of the successor
+	// is the invalidation) and keep them as the degraded-mode fallback.
+	sn.StoreResult(cacheKey, body)
+	sess.SetLastGood(cacheKey, body)
+	writeBody(w, body)
 }
 
 // degradeClusters is the graceful-degradation tail of handleClusters:
@@ -592,10 +583,8 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, sess *se
 // 500: the condition is the server's load, not a server bug.
 func (s *Server) degradeClusters(w http.ResponseWriter, sess *session.Session, cacheKey string, cause error) {
 	if v, ok := sess.LastGood(cacheKey); ok {
-		snap := v.(ClusterResponse)
-		snap.Stale = true
 		sess.NoteStale()
-		writeJSON(w, http.StatusOK, snap)
+		writeBody(w, staleBody(v.([]byte)))
 		return
 	}
 	w.Header().Set("Retry-After", "1")
@@ -615,18 +604,6 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request, sess *ses
 		// path of the connection.
 		return
 	}
-}
-
-func flowDTO(g *roadnet.Graph, f *neat.FlowCluster) FlowDTO {
-	dto := FlowDTO{
-		RouteLength: f.RouteLength(g),
-		Cardinality: f.Cardinality(),
-		Density:     f.Density(),
-	}
-	for _, seg := range f.Route {
-		dto.Route = append(dto.Route, int32(seg))
-	}
-	return dto
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, sess *session.Session) {

@@ -332,17 +332,7 @@ func TestDefaultSessionMatchesDirectPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ClusterResponse{Level: res.Level.String(), BaseClusters: len(res.BaseClusters)}
-	for _, f := range res.Flows {
-		want.Flows = append(want.Flows, flowDTO(g, f))
-	}
-	for _, cl := range res.Clusters {
-		dto := ClusterDTO{Cardinality: cl.Cardinality()}
-		for _, f := range cl.Flows {
-			dto.Flows = append(dto.Flows, flowDTO(g, f))
-		}
-		want.Clusters = append(want.Clusters, dto)
-	}
+	want := clusterResponse(g, res, len(res.BaseClusters))
 	got.ElapsedMs = 0
 	jg, _ := json.Marshal(got)
 	jw, _ := json.Marshal(want)

@@ -25,11 +25,11 @@ const maxResults = 32
 
 // Snapshot is one immutable published state of a session: the dataset
 // as of a committed ingest, plus lazily built read-side artifacts (the
-// spatio-temporal index, the Phase 1–2 flow set, memoized clustering
-// responses). A snapshot is
-// reachable only through Session.Current's atomic pointer, so readers
-// hold it without any lock and concurrent ingest can never mutate what
-// they see — a new ingest publishes a new Snapshot instead.
+// spatio-temporal index, the Phase 1–2 flow set and its flows' encoded
+// objects, memoized clustering responses). A snapshot is reachable
+// only through Session.Current's atomic pointer, so readers hold it
+// without any lock and concurrent ingest can never mutate what they
+// see — a new ingest publishes a new Snapshot instead.
 //
 // The Fragments and Trajs slices are three-index views into the
 // session's live backing arrays: ingest, serialized by the session's
@@ -60,6 +60,12 @@ type Snapshot struct {
 	// computation, or a completed one. Only successes stay in the slot.
 	flowsMu sync.Mutex
 	flows   *flowsCall
+
+	// objs keeps each flow's encoded response object, built at most
+	// once per snapshot by the first read that renders the flow (see
+	// FlowObjects). The session never looks inside the bytes.
+	objsMu sync.RWMutex
+	objs   map[*neat.FlowCluster]*flowObject
 
 	// results memoizes rendered clustering responses by parameter key.
 	// Publication of a new snapshot is the invalidation: a result is
@@ -148,6 +154,62 @@ func (sn *Snapshot) computeFlows(ctx context.Context, c *flowsCall, compute func
 	}()
 	c.fs, c.err = compute(ctx)
 	return c.fs, c.err
+}
+
+// flowObject is one flow's encoded object; once runs its encode.
+type flowObject struct {
+	once sync.Once
+	b    []byte
+	err  error
+}
+
+// FlowObjects sets dst[i] to the encoded object of flows[i], calling
+// encode only for the flows no earlier call on this snapshot encoded:
+// each flow is encoded at most once per snapshot, and every read of the
+// snapshot shares the same bytes, which callers must not modify. A flow
+// set belongs to one snapshot, so its flows' objects live and die with
+// it. dst must be as long as flows. Concurrent calls are safe, and a
+// call that needs a flow another call is encoding waits for it. An
+// encode error is returned as is and keeps nothing for that flow, so a
+// later call encodes it again.
+func (sn *Snapshot) FlowObjects(flows []*neat.FlowCluster, dst [][]byte, encode func(*neat.FlowCluster) ([]byte, error)) error {
+	objs := make([]*flowObject, len(flows))
+	missing := false
+	sn.objsMu.RLock()
+	for i, f := range flows {
+		objs[i] = sn.objs[f]
+		missing = missing || objs[i] == nil
+	}
+	sn.objsMu.RUnlock()
+	if missing {
+		sn.objsMu.Lock()
+		if sn.objs == nil {
+			sn.objs = make(map[*neat.FlowCluster]*flowObject, len(flows))
+		}
+		for i, f := range flows {
+			if objs[i] != nil {
+				continue
+			}
+			if objs[i] = sn.objs[f]; objs[i] == nil {
+				objs[i] = new(flowObject)
+				sn.objs[f] = objs[i]
+			}
+		}
+		sn.objsMu.Unlock()
+	}
+	for i, o := range objs {
+		o.once.Do(func() { o.b, o.err = encode(flows[i]) })
+		if o.err != nil {
+			sn.objsMu.Lock()
+			if sn.objs[flows[i]] == o {
+				delete(sn.objs, flows[i])
+			}
+			sn.objsMu.Unlock()
+			return o.err
+		}
+		dst[i] = o.b
+	}
+	return nil
 }
 
 // Result returns the memoized response stored under key, if any.

@@ -141,3 +141,72 @@ func TestSnapshotFlowsWaiterRetriesAfterLeaderFails(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFlowObjectsEncodeOncePerSnapshot runs overlapping FlowObjects
+// calls on one snapshot at once (run it under -race): each flow is
+// encoded exactly once, every call gets the one kept object of each of
+// its flows, and an encode error is returned and keeps nothing for
+// that flow.
+func TestFlowObjectsEncodeOncePerSnapshot(t *testing.T) {
+	sn := &Snapshot{}
+	flows := make([]*neat.FlowCluster, 40)
+	for i := range flows {
+		flows[i] = &neat.FlowCluster{}
+	}
+	var mu sync.Mutex
+	encoded := map[*neat.FlowCluster]int{}
+	encode := func(f *neat.FlowCluster) ([]byte, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		encoded[f]++
+		return []byte{byte(len(encoded))}, nil
+	}
+	const callers = 8
+	got := make([][][]byte, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Caller c reads a window of the flows that overlaps its
+			// neighbours'.
+			part := flows[c*4 : c*4+10]
+			got[c] = make([][]byte, len(part))
+			if err := sn.FlowObjects(part, got[c], encode); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	kept := map[*neat.FlowCluster]*byte{}
+	for c := range got {
+		for i, b := range got[c] {
+			f := flows[c*4+i]
+			if len(b) != 1 {
+				t.Fatalf("caller %d flow %d: object %v", c, c*4+i, b)
+			}
+			if p, ok := kept[f]; ok && p != &b[0] {
+				t.Fatalf("flow %d: two callers got different objects", c*4+i)
+			}
+			kept[f] = &b[0]
+		}
+	}
+	for f, n := range encoded {
+		if n != 1 {
+			t.Fatalf("flow %p encoded %d times", f, n)
+		}
+	}
+	if len(encoded) != len(kept) {
+		t.Fatalf("%d flows encoded, %d read", len(encoded), len(kept))
+	}
+
+	fresh := []*neat.FlowCluster{flows[0], {}}
+	boom := errors.New("boom")
+	if err := sn.FlowObjects(fresh, make([][]byte, 2), func(*neat.FlowCluster) ([]byte, error) { return nil, boom }); err != boom {
+		t.Fatalf("encode error: got %v", err)
+	}
+	dst := make([][]byte, 2)
+	if err := sn.FlowObjects(fresh, dst, func(*neat.FlowCluster) ([]byte, error) { return []byte("x"), nil }); err != nil || string(dst[1]) != "x" || &dst[0][0] != kept[flows[0]] {
+		t.Fatalf("after a failed encode: %q, %v", dst, err)
+	}
+}
