@@ -5,8 +5,8 @@
 //
 //	neatbench [-scale 0.1] [-out results/] [-exp fig5] [-exp table1] ...
 //	neatbench -scale 0.05 -phasejson results/BENCH_phase_times.json
-//	neatbench -scale 0.05 -streamjson BENCH_stream_ingest.json -streamguard 1.5
-//	neatbench -scale 0.05 -recoveryjson BENCH_recovery.json
+//	neatbench -scale 0.05 -streamjson results/BENCH_stream_ingest.json -streamguard 1.5
+//	neatbench -scale 0.05 -recoveryjson results/BENCH_recovery.json
 //
 // With no -exp flags, every experiment runs in the paper's order;
 // -phasejson with no -exp runs only the fixed phase-timing scenario

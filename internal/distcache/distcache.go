@@ -428,57 +428,6 @@ func (c *Cache) Store(key uint64, dist, bound float64) {
 	}
 }
 
-// Entry is one exported cache entry: the canonical junction-pair key
-// with the distance and the ε bound it was computed under. Exported
-// entries are only meaningful within the scope they were exported
-// from; internal/persist stores the scope string next to them.
-type Entry struct {
-	Key   uint64
-	Dist  float64
-	Bound float64
-}
-
-// Export snapshots up to limit current-epoch entries in a
-// deterministic order (shard by shard, most-recently-used first
-// within each). Stale-epoch entries are skipped, not reclaimed — the
-// export is read-only. Nil-safe (nil slice); limit <= 0 exports
-// nothing.
-func (c *Cache) Export(limit int) []Entry {
-	if c == nil || limit <= 0 {
-		return nil
-	}
-	ep := c.epoch.Load()
-	out := make([]Entry, 0, min(limit, int(c.entries.Load())))
-	for i := range c.shards {
-		if len(out) >= limit {
-			break
-		}
-		s := &c.shards[i]
-		s.mu.Lock()
-		for e := s.head; e != nil && len(out) < limit; e = e.next {
-			if e.epoch == ep {
-				out = append(out, Entry{Key: e.key, Dist: e.dist, Bound: e.bound})
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// Import stores exported entries under the cache's current scope,
-// through the normal Store path (monotone merging, LRU accounting,
-// budget enforcement). The caller must SetScope to the entries'
-// original scope first; importing distances across scopes would be
-// unsound. Nil-safe.
-func (c *Cache) Import(entries []Entry) {
-	if c == nil {
-		return
-	}
-	for _, e := range entries {
-		c.Store(e.Key, e.Dist, e.Bound)
-	}
-}
-
 // Len returns the number of occupied slots (including not-yet-
 // reclaimed stale entries). Nil-safe.
 func (c *Cache) Len() int {

@@ -106,14 +106,6 @@ func RestoreEpsGraph(g *roadnet.Graph, cfg RefineConfig, flows []*FlowCluster, a
 	return eg, nil
 }
 
-// CacheScope is the distance-cache scope string Phase 3 binds a cache
-// to for a given graph and configuration. Checkpoints persist it next
-// to exported cache entries, so recovery imports them only when the
-// graph and kernel still match.
-func CacheScope(g *roadnet.Graph, cfg RefineConfig) string {
-	return cacheScope(g, cfg.withDefaults())
-}
-
 // Clone deep-copies the cluster: the flow list and every flow down to
 // the fragment point slices are fresh allocations, so mutating the
 // clone can never corrupt pipeline or clusterer state. (The

@@ -306,27 +306,21 @@ type StreamEntry struct {
 	Flow  *neat.FlowCluster
 }
 
-// CacheEntry is one warm distance-cache entry carried by a checkpoint
-// (see distcache.Entry; duplicated here so the codec layer does not
-// leak distcache's representation into the file format).
-type CacheEntry struct {
-	Key   uint64
-	Dist  float64
-	Bound float64
+// StreamState is the full recoverable state of a stream.Clusterer: the
+// batch index, the standing flow set in window order, and the
+// maintained ε-graph's adjacency rows (nil when the graph was dirty or
+// disabled — recovery then rebuilds it, byte-identically).
+type StreamState struct {
+	Batch     int
+	Entries   []StreamEntry
+	Adjacency [][]int // row i lists the ε-neighbors of Entries[i]; nil = rebuild
 }
 
-// StreamState is the full recoverable state of a stream.Clusterer: the
-// batch index, the standing flow set in window order, the maintained
-// ε-graph's adjacency rows (nil when the graph was dirty or disabled —
-// recovery then rebuilds it, byte-identically), and optionally the
-// warm distance-cache entries with the scope they are valid under.
-type StreamState struct {
-	Batch      int
-	Entries    []StreamEntry
-	Adjacency  [][]int // row i lists the ε-neighbors of Entries[i]; nil = rebuild
-	CacheScope string
-	Cache      []CacheEntry
-}
+// cacheRowSize is one warm distance-cache row (key, distance, bound).
+// Stream checkpoints end with a cache scope and a count of such rows;
+// checkpoints written before the rows were dropped may carry some, and
+// the decoder reads past them.
+const cacheRowSize = 8 + 8 + 8
 
 // EncodeStreamState serializes a checkpoint payload for the streaming
 // clusterer.
@@ -349,13 +343,8 @@ func EncodeStreamState(st StreamState) []byte {
 			}
 		}
 	}
-	e.str(st.CacheScope)
-	e.u32(uint32(len(st.Cache)))
-	for _, c := range st.Cache {
-		e.u64(c.Key)
-		e.f64(c.Dist)
-		e.f64(c.Bound)
-	}
+	e.str("") // an empty cache scope and no cache rows
+	e.u32(0)
 	return e.b
 }
 
@@ -408,15 +397,8 @@ func DecodeStreamState(b []byte) (StreamState, error) {
 			st.Adjacency[i] = row
 		}
 	}
-	st.CacheScope = d.str()
-	cn := d.count(8 + 8 + 8)
-	if d.err != nil {
-		return st, d.err
-	}
-	st.Cache = make([]CacheEntry, 0, cn)
-	for i := 0; i < cn && d.err == nil; i++ {
-		st.Cache = append(st.Cache, CacheEntry{Key: d.u64(), Dist: d.f64(), Bound: d.f64()})
-	}
+	d.str()
+	d.take(d.count(cacheRowSize) * cacheRowSize)
 	return st, d.rest()
 }
 

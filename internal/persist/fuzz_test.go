@@ -60,11 +60,9 @@ func FuzzWALReplay(f *testing.F) {
 // property that makes checkpoint contents canonical).
 func FuzzCheckpointDecode(f *testing.F) {
 	stream := EncodeStreamState(StreamState{
-		Batch:      3,
-		Entries:    []StreamEntry{{Batch: 2, Flow: testFlow(5, 6)}},
-		Adjacency:  [][]int{{}},
-		CacheScope: "scope",
-		Cache:      []CacheEntry{{Key: 9, Dist: 10, Bound: 11}},
+		Batch:     3,
+		Entries:   []StreamEntry{{Batch: 2, Flow: testFlow(5, 6)}},
+		Adjacency: [][]int{{}},
 	})
 	server := EncodeServerState(ServerState{Batches: 2, Trajs: testBatch(4).Trajectories})
 	f.Add(encodeCheckpoint(3, stream))

@@ -19,8 +19,9 @@
 //
 // The package is storage only: it moves opaque batch bodies and
 // checkpoint payloads (see codec.go for the exact binary codecs) and
-// knows nothing about clustering. internal/stream and internal/server
-// own the mapping between their in-memory state and these bytes.
+// knows nothing about clustering. internal/commit drives it for the
+// stream clusterer and the server's sessions, which own the mapping
+// between their in-memory state and these bytes.
 //
 // Everything is stdlib: hash/crc32 (Castagnoli), os, encoding by hand.
 package persist
@@ -94,21 +95,12 @@ type Options struct {
 	// SegmentBytes rotates the active WAL segment once it reaches this
 	// size; 0 means ~4 MiB.
 	SegmentBytes int64
-	// CheckpointEvery is how many batches between checkpoints for
-	// owners that checkpoint on a cadence (internal/stream,
-	// internal/server); 0 means 8, negative disables periodic
-	// checkpoints (one is still written on a clean Close).
+	// CheckpointEvery is how many batches between checkpoints (the
+	// cadence internal/commit keeps); 0 means 8, negative disables
+	// periodic checkpoints (one is still written on a clean Close).
 	CheckpointEvery int
 	// KeepCheckpoints retains the newest N checkpoint files; 0 means 2.
 	KeepCheckpoints int
-	// PersistCache asks the owner to include warm distance-cache
-	// entries in checkpoint payloads, so a restart serves re-ingested
-	// pairs without shortest-path queries. Off by default (checkpoints
-	// stay small; correctness is unaffected either way).
-	PersistCache bool
-	// CacheExportLimit bounds how many cache entries a checkpoint
-	// carries when PersistCache is on; 0 means 1<<16.
-	CacheExportLimit int
 	// Obs is the metrics registry for the neat_wal_* and
 	// neat_checkpoint_* series; nil disables instrumentation.
 	Obs *obs.Registry
@@ -132,9 +124,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.KeepCheckpoints <= 0 {
 		o.KeepCheckpoints = defaultKeepCheckpoints
-	}
-	if o.CacheExportLimit <= 0 {
-		o.CacheExportLimit = 1 << 16
 	}
 	return o
 }
@@ -606,12 +595,6 @@ func (s *Store) Abort() {
 // CheckpointEvery returns the resolved checkpoint cadence (batches
 // between checkpoints; <0 disables periodic checkpoints).
 func (s *Store) CheckpointEvery() int { return s.opts.CheckpointEvery }
-
-// PersistCache reports whether checkpoint payloads should carry warm
-// distance-cache entries, and under what bound.
-func (s *Store) PersistCache() (on bool, limit int) {
-	return s.opts.PersistCache, s.opts.CacheExportLimit
-}
 
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.opts.Dir }

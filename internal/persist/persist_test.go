@@ -585,9 +585,7 @@ func TestStreamStateCodecIdempotent(t *testing.T) {
 			{Batch: 3, Flow: testFlow(4, 7)},
 			{Batch: 4, Flow: testFlow(9)},
 		},
-		Adjacency:  [][]int{{1}, {0}},
-		CacheScope: "fp|undirected|dijkstra",
-		Cache:      []CacheEntry{{Key: 42, Dist: 1234.5, Bound: math.Inf(1)}},
+		Adjacency: [][]int{{1}, {0}},
 	}
 	b1 := EncodeStreamState(st)
 	got, err := DecodeStreamState(b1)
@@ -638,6 +636,42 @@ func TestStreamStateCodecIdempotent(t *testing.T) {
 	bad.Entries = []StreamEntry{{Batch: 9, Flow: testFlow(1)}}
 	if _, err := DecodeStreamState(EncodeStreamState(bad)); err == nil {
 		t.Error("standing entry from the future accepted")
+	}
+}
+
+// TestStreamStateDecodesOldCacheRows keeps data directories written
+// while stream checkpoints could carry warm distance-cache rows
+// readable: the decoder reads past the scope and the rows, and a
+// checkpoint without rows keeps the bytes it has always had, ending
+// with an empty scope and a zero row count.
+func TestStreamStateDecodesOldCacheRows(t *testing.T) {
+	st := StreamState{
+		Batch:     5,
+		Entries:   []StreamEntry{{Batch: 3, Flow: testFlow(4, 7)}, {Batch: 4, Flow: testFlow(9)}},
+		Adjacency: [][]int{{1}, {0}},
+	}
+	cur := EncodeStreamState(st)
+	if !bytes.HasSuffix(cur, make([]byte, 8)) {
+		t.Fatal("stream checkpoint does not end with an empty cache scope and a zero row count")
+	}
+	old := enc{b: append([]byte(nil), cur[:len(cur)-8]...)}
+	old.str("fp|undirected|dijkstra")
+	old.u32(2)
+	old.u64(42)
+	old.f64(1234.5)
+	old.f64(math.Inf(1))
+	old.u64(7)
+	old.f64(10)
+	old.f64(11)
+	got, err := DecodeStreamState(old.b)
+	if err != nil {
+		t.Fatalf("checkpoint with cache rows: %v", err)
+	}
+	if !bytes.Equal(EncodeStreamState(got), cur) {
+		t.Fatal("checkpoint with cache rows decoded to a different state")
+	}
+	if _, err := DecodeStreamState(old.b[:len(old.b)-1]); err == nil {
+		t.Error("truncated cache row accepted")
 	}
 }
 

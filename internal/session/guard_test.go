@@ -218,6 +218,69 @@ func TestQuarantineAndHealByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRecoveredBatchesDuringHeal reads RecoveredBatches, as the stats
+// handler does, while a probe ingest heals the session (meaningful
+// under -race), and checks the heal's count.
+func TestRecoveredBatchesDuringHeal(t *testing.T) {
+	g := testGraph(t, 25)
+	clk := guard.NewManualClock(time.Unix(1_700_000_000, 0))
+	inj := fault.New(fault.Config{Seed: 3, Points: map[fault.Point]fault.Spec{
+		fault.Ingest: {ErrProb: 1},
+	}})
+	inj.SetEnabled(false)
+	s, err := New("victim", g, Config{
+		Fault:   inj,
+		Persist: &persist.Options{Dir: t.TempDir(), Fsync: persist.FsyncOff},
+		Guard: guard.Config{
+			Breaker: guard.BreakerConfig{TripAfter: 1, Cooldown: 10 * time.Second},
+			Now:     clk.Now,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	batch1 := testDataset(t, g, 6, 26)
+	batch2 := testDataset(t, g, 5, 27)
+	for i := range batch2.Trajectories {
+		batch2.Trajectories[i].ID += 1000
+	}
+	ingestDataset(t, s, batch1)
+	inj.SetEnabled(true)
+	if err := ingestErr(s, batch2); !fault.IsInjected(err) {
+		t.Fatalf("faulted ingest returned %v, want injected error", err)
+	}
+	inj.SetEnabled(false)
+	clk.Advance(10 * time.Second)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = s.RecoveredBatches()
+			}
+		}
+	}()
+	err = ingestErr(s, batch2) // the probe heals the session
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("probe ingest failed: %v", err)
+	}
+	if s.Guard().Snapshot().Heals != 1 {
+		t.Fatal("the probe did not heal the session")
+	}
+	if got := s.RecoveredBatches(); got != 2 {
+		t.Fatalf("RecoveredBatches after the heal = %d, want 2", got)
+	}
+}
+
 // TestRegistryRemoveRacesIngestAndTrippedBreaker removes a session
 // while ingests are still in flight and its breaker is tripped: Remove
 // must complete, the survivors must be well-formed errors (closed or

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/commit"
 	"repro/internal/distcache"
 	"repro/internal/fault"
 	"repro/internal/guard"
@@ -88,9 +89,13 @@ type Config struct {
 	// Fault is an optional per-session fault injector threaded into
 	// ingest, the clustering pipeline, and the distance cache.
 	Fault *fault.Injector
-	// Persist makes the session durable: Dir must already be the
-	// session's own namespace (the Registry resolves it). Nil keeps the
-	// session in-memory.
+	// Persist makes the session durable through its commit envelope
+	// (DESIGN.md §12.4): each acknowledged batch is in the WAL before it
+	// is published, the dataset is checkpointed every CheckpointEvery
+	// batches and on Close, and New recovers from the newest checkpoint
+	// and the log after it. Dir must already be the session's own
+	// namespace (the Registry resolves it); Obs and Fault default to the
+	// session's. Nil keeps the session in-memory.
 	Persist *persist.Options
 }
 
@@ -150,19 +155,19 @@ type Session struct {
 	// after the commit (including the WAL append) succeeded.
 	snap atomic.Pointer[Snapshot]
 
-	// ingestMu serializes ingest, recovery replay, checkpointing, and
-	// Close. It guards every field below it. Readers never take it.
-	ingestMu   sync.Mutex
-	seenIDs    map[traj.ID]struct{}
-	fragments  []traj.TFragment // live backing array; published views are prefixes
-	trajs      []traj.Trajectory
-	version    uint64
-	epoch      uint64 // bumped whenever fragments is rebuilt (healFromWAL)
-	closed     bool
-	recovering bool
-	store      *persist.Store
-	lastCkpt   uint64
-	recovered  uint64
+	// recovered is what RecoveredBatches reports; a heal rewrites it
+	// while stats readers load it.
+	recovered atomic.Uint64
+
+	// ingestMu serializes ingest, heal, and Close. It guards every
+	// field below it. Readers never take it.
+	ingestMu  sync.Mutex
+	env       *commit.Envelope
+	seenIDs   map[traj.ID]struct{}
+	fragments []traj.TFragment // live backing array; published views are prefixes
+	trajs     []traj.Trajectory
+	version   uint64
+	epoch     uint64 // bumped whenever fragments is rebuilt (heal)
 
 	// One partitioner per data node; a channel semaphore since
 	// partitioners are not concurrency-safe.
@@ -250,23 +255,18 @@ func New(name string, g *roadnet.Graph, cfg Config) (*Session, error) {
 		ShedPointBudget: cfg.Obs.Counter("neat_shed_requests_total", cfg.Label, obs.L("reason", "point_budget")),
 		ShedQuarantined: cfg.Obs.Counter("neat_shed_requests_total", cfg.Label, obs.L("reason", "quarantined")),
 	}
+	s.env = commit.New(name, s.guard, cfg.Fault, ErrClosed)
 	if cfg.Persist != nil {
-		o := *cfg.Persist
-		if o.Obs == nil {
-			o.Obs = cfg.Obs
+		// The recovery replays through the normal preprocessing path
+		// (sharded t-fragment extraction, which is deterministic), so
+		// the recovered fragments are byte-identical to the ones the
+		// session held when each batch was first acknowledged. Nothing
+		// else holds the session yet, so ingestMu is not taken.
+		if err := s.env.Open(*cfg.Persist, cfg.Obs, ErrNotDurable, s.encode, s.restore, s.replay, s.heal); err != nil {
+			return nil, fmt.Errorf("session %q: %w", name, err)
 		}
-		if o.Fault == nil {
-			o.Fault = cfg.Fault
-		}
-		store, err := persist.Open(o)
-		if err != nil {
-			return nil, fmt.Errorf("session %q: open persistence: %w", name, err)
-		}
-		s.store = store
-		if err := s.recover(); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("session %q: recover: %w", name, err)
-		}
+		s.recovered.Store(s.version)
+		s.publishLocked()
 	}
 	return s, nil
 }
@@ -381,198 +381,114 @@ func (s *Session) withPipeline(ctx context.Context, fn func(*neat.Pipeline) erro
 	return fn(s.pipeline)
 }
 
-// Ingest commits one batch: ids[i] names the trajectory convert(i)
-// yields (the two-step shape lets the server convert wire DTOs inside
-// the data-node pool without this package knowing about DTOs; WAL
-// replay passes identity converts). The whole batch commits atomically
-// or not at all: duplicate ids, a conversion/partition error, context
-// expiry, or a WAL append failure leave the session exactly as it was
-// and publish nothing. On success the new snapshot is visible to
-// readers before Ingest returns.
+// Ingest commits one batch through the session's envelope: ids[i]
+// names the trajectory convert(i) yields (the two-step shape lets the
+// server convert wire DTOs inside the data-node pool without this
+// package knowing about DTOs). The whole batch commits atomically or
+// not at all: duplicate ids, a conversion/partition error, context
+// expiry, a contained panic, or a WAL append failure leave the session
+// exactly as it was and publish nothing. On success the new snapshot
+// is visible to readers before Ingest returns. A watchdog deadline,
+// when configured, bounds how long preprocessing may stall while the
+// client still waits.
 func (s *Session) Ingest(ctx context.Context, ids []traj.ID, convert func(int) (traj.Trajectory, error)) (IngestStats, error) {
-	br := s.guard.Breaker()
-	decision, retry := br.Allow()
-	if decision == guard.Reject {
-		return IngestStats{}, &guard.QuarantinedError{Session: s.name, RetryAfter: retry}
-	}
-	st, err := s.ingestContained(ctx, ids, convert)
-	if err != nil {
-		s.m.IngestRejected.Inc()
-	}
-	if breakerFailure(err) {
-		br.Failure()
-	} else if br.Success() {
-		// The breaker just closed after its probe sequence: rebuild the
-		// session from checkpoint + WAL replay so whatever a fault storm
-		// left behind in memory is discarded and the healed state is
-		// byte-identical to a never-faulted run over the same log.
-		s.healFromWAL()
-	}
-	return st, err
-}
-
-// breakerFailure classifies an ingest error for the circuit breaker:
-// infrastructure faults (injected failures, contained panics, watchdog
-// abandonment, a WAL that will not accept writes) count toward the
-// trip threshold; client mistakes (duplicates, validation errors) and
-// the client's own context expiry say nothing about session health and
-// instead count as successes, clearing the consecutive-failure run.
-func breakerFailure(err error) bool {
-	if err == nil {
-		return false
-	}
-	var pe *guard.PanicError
-	return fault.IsInjected(err) ||
-		errors.As(err, &pe) ||
-		errors.Is(err, guard.ErrStuck) ||
-		errors.Is(err, ErrNotDurable)
-}
-
-// ingestContained runs one locked ingest under the guard's containment
-// layer: a panic anywhere in the ingest path is recovered, the
-// partially applied batch rolled back, and the panic converted into a
-// typed *guard.PanicError; a watchdog deadline (when configured)
-// bounds how long the pipeline may stall while the client still waits.
-func (s *Session) ingestContained(ctx context.Context, ids []traj.ID, convert func(int) (traj.Trajectory, error)) (st IngestStats, err error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-
 	wctx := ctx
 	if d := s.guard.Watchdog(); d > 0 {
 		var cancel context.CancelFunc
 		wctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
+	var st IngestStats
+	err := s.env.Commit(wctx, s.undo(ids), func(wctx context.Context) (batch traj.Dataset, err error) {
+		batch, st, err = s.apply(wctx, ids, convert)
+		if err != nil && wctx.Err() != nil && ctx.Err() == nil {
+			// The watchdog expired, not the client: the ingest was stuck.
+			s.guard.NoteStuck()
+			err = fmt.Errorf("%w: %v", guard.ErrStuck, err)
+		}
+		return batch, err
+	}, func() {
+		s.publishLocked()
+		s.setIngestHealth(nil)
+		s.m.IngestTrajs.Add(int64(st.Accepted))
+		s.m.IngestFrags.Add(int64(st.Fragments))
+	})
+	var qe *guard.QuarantinedError
+	switch {
+	case err == nil:
+		return st, nil
+	case errors.As(err, &qe):
+		return IngestStats{}, err
+	case degrades(err):
+		s.setIngestHealth(err)
+	}
+	s.m.IngestRejected.Inc()
+	return IngestStats{}, err
+}
 
-	// Rollback bookkeeping for panic containment. wasSeen records which
-	// ids were already present at entry: a panic can fire before the
-	// duplicate check, so blind deletion would unregister trajectories
-	// committed by earlier batches.
-	savedVersion := s.version
-	savedFrags, savedTrajs := len(s.fragments), len(s.trajs)
+// degrades reports whether a failed ingest marks the session degraded:
+// every failure the breaker counts, plus a preprocess cut short by the
+// client's deadline. Client mistakes and a closed session do not.
+func degrades(err error) bool {
+	var pe *guard.PanicError
+	return fault.IsInjected(err) || errors.As(err, &pe) || errors.Is(err, guard.ErrStuck) ||
+		errors.Is(err, ErrNotDurable) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// undo returns the function that puts back what a commit of ids can
+// change. wasSeen records which ids the session already held: the undo
+// also runs for a batch that failed at or before the duplicate check,
+// where blind deletion would unregister trajectories earlier batches
+// committed.
+func (s *Session) undo(ids []traj.ID) func() {
+	version, nFrags, nTrajs := s.version, len(s.fragments), len(s.trajs)
 	wasSeen := make([]bool, len(ids))
 	for i, id := range ids {
 		_, wasSeen[i] = s.seenIDs[id]
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		s.guard.NotePanic()
-		// If the batch already published (the panic fired after the
-		// commit completed), the state is consistent and durable: keep
-		// it. Otherwise roll back every partial mutation.
-		if s.snap.Load().Version == savedVersion {
-			for i, id := range ids {
-				if !wasSeen[i] {
-					delete(s.seenIDs, id)
-				}
+	return func() {
+		for i, id := range ids {
+			if !wasSeen[i] {
+				delete(s.seenIDs, id)
 			}
-			s.fragments = s.fragments[:savedFrags]
-			s.trajs = s.trajs[:savedTrajs]
-			s.version = savedVersion
 		}
-		st = IngestStats{}
-		err = &guard.PanicError{Value: r, Stack: debug.Stack()}
-		s.setIngestHealth(err)
-	}()
-
-	st, err = s.ingestLocked(wctx, ids, convert)
-	if err != nil && wctx.Err() != nil && ctx.Err() == nil {
-		// The watchdog expired, not the client: the ingest was stuck.
-		s.guard.NoteStuck()
-		err = fmt.Errorf("%w: %v", guard.ErrStuck, err)
-		s.setIngestHealth(err)
+		s.fragments, s.trajs, s.version = s.fragments[:nFrags], s.trajs[:nTrajs], version
 	}
-	return st, err
 }
 
-func (s *Session) ingestLocked(ctx context.Context, ids []traj.ID, convert func(int) (traj.Trajectory, error)) (IngestStats, error) {
-	if s.closed {
-		return IngestStats{}, ErrClosed
-	}
-	if !s.recovering {
-		// WAL replay must not draw from the fault stream: replayed
-		// ingests already "happened".
-		s.cfg.Fault.Sleep(fault.Ingest)
-		if err := s.cfg.Fault.Inject(fault.Ingest); err != nil {
-			s.setIngestHealth(err)
-			return IngestStats{}, err
-		}
-		if s.cfg.Fault.Hit(fault.IngestPanic) {
-			// Deliberately a raw panic: the containment layer in
-			// ingestContained must catch it, roll back, and convert it
-			// into a typed error. (Hit consumes no rng draws unless the
-			// point is configured, so existing seeded scenarios see an
-			// unchanged decision stream.)
-			panic(fmt.Sprintf("fault: injected %s", fault.IngestPanic))
-		}
-	}
+// apply is the in-memory commit of one batch: the duplicate check,
+// preprocessing, and the appends. It returns the batch the WAL holds.
+func (s *Session) apply(ctx context.Context, ids []traj.ID, convert func(int) (traj.Trajectory, error)) (traj.Dataset, IngestStats, error) {
 	// Reject duplicate trajectory ids up front: downstream structures
 	// (netflow, the spatio-temporal index) key by trid. Ingest is
 	// serialized, so this single check is authoritative.
 	batch := make(map[traj.ID]struct{}, len(ids))
 	for _, id := range ids {
 		if _, ok := s.seenIDs[id]; ok {
-			return IngestStats{}, &DuplicateError{ID: id}
+			return traj.Dataset{}, IngestStats{}, &DuplicateError{ID: id}
 		}
 		if _, ok := batch[id]; ok {
-			return IngestStats{}, &DuplicateError{ID: id, InBatch: true}
+			return traj.Dataset{}, IngestStats{}, &DuplicateError{ID: id, InBatch: true}
 		}
 		batch[id] = struct{}{}
 	}
 	frags, trajs, err := s.preprocess(ctx, len(ids), convert)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.setIngestHealth(err)
-		}
-		return IngestStats{}, err
+		return traj.Dataset{}, IngestStats{}, err
 	}
-	// Commit. The appends write only indices at or beyond every
-	// published snapshot's view (or a fresh array after reallocation),
-	// so readers of prior snapshots are unaffected.
+	// The appends write only indices at or beyond every published
+	// snapshot's view (or a fresh array after reallocation), so readers
+	// of prior snapshots are unaffected.
 	for id := range batch {
 		s.seenIDs[id] = struct{}{}
 	}
 	s.fragments = append(s.fragments, frags...)
 	s.trajs = append(s.trajs, trajs...)
 	s.version++
-	// The batch is committed in memory; make it durable before
-	// acknowledging (and before publishing — readers must never see a
-	// batch the log does not hold). An append failure rolls the whole
-	// commit back so the client can retry.
-	if s.store != nil && !s.recovering {
-		if err := s.store.AppendBatch(s.version-1, traj.Dataset{Trajectories: trajs}); err != nil {
-			for id := range batch {
-				delete(s.seenIDs, id)
-			}
-			s.fragments = s.fragments[:len(s.fragments)-len(frags)]
-			s.trajs = s.trajs[:len(s.trajs)-len(trajs)]
-			s.version--
-			s.setIngestHealth(err)
-			return IngestStats{}, fmt.Errorf("%w: %v", ErrNotDurable, err)
-		}
-	}
-	s.publishLocked()
-	if s.store != nil && !s.recovering {
-		if every := s.store.CheckpointEvery(); every > 0 && s.version-s.lastCkpt >= uint64(every) {
-			// Best-effort: a failed checkpoint only delays WAL
-			// compaction; the error surfaces in the stats persistence
-			// block.
-			_ = s.checkpointLocked()
-		}
-	}
-	s.setIngestHealth(nil)
-	if !s.recovering {
-		s.m.IngestTrajs.Add(int64(len(trajs)))
-		s.m.IngestFrags.Add(int64(len(frags)))
-	}
-	return IngestStats{
-		Accepted:       len(trajs),
-		Fragments:      len(frags),
-		TotalFragments: len(s.fragments),
-	}, nil
+	st := IngestStats{Accepted: len(trajs), Fragments: len(frags), TotalFragments: len(s.fragments)}
+	return traj.Dataset{Trajectories: trajs}, st, nil
 }
 
 // publishLocked freezes the live dataset into a new Snapshot and
@@ -652,113 +568,61 @@ func (s *Session) preprocess(ctx context.Context, n int, convert func(int) (traj
 	return out, trajs, nil
 }
 
-// recover restores the dataset from the newest valid checkpoint and
-// re-runs the WAL tail through the normal ingest path (sharded
-// t-fragment extraction, which is deterministic), so the recovered
-// fragment set is byte-identical to the one the session held when each
-// batch was first acknowledged.
-func (s *Session) recover() error {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	return s.recoverLocked(false)
+// replay applies one logged batch, with identity converts.
+func (s *Session) replay(batch traj.Dataset) error {
+	ids := make([]traj.ID, len(batch.Trajectories))
+	for i, tr := range batch.Trajectories {
+		ids[i] = tr.ID
+	}
+	_, _, err := s.apply(context.Background(), ids, func(i int) (traj.Trajectory, error) {
+		return batch.Trajectories[i], nil
+	})
+	return err
 }
 
-// recoverLocked rebuilds the dataset from checkpoint + WAL with
-// ingestMu held. reload selects the checkpoint source: false reads the
-// payload cached at Open (boot-time recovery), true re-reads the
-// newest checkpoint from disk (a mid-life heal, where Open's payload
-// has long been superseded by periodic checkpoints that compacted the
-// WAL under it).
-func (s *Session) recoverLocked(reload bool) error {
-	ckpt := s.store.Checkpoint
-	if reload {
-		ckpt = s.store.ReloadCheckpoint
-	}
-	if seq, payload, ok := ckpt(); ok {
-		st, err := persist.DecodeServerState(payload)
-		if err != nil {
-			return fmt.Errorf("checkpoint seq %d: %w", seq, err)
-		}
-		s.trajs = st.Trajs
-		s.fragments = st.Fragments
-		s.version = st.Batches
-		s.lastCkpt = st.Batches
-		for _, tr := range st.Trajs {
-			s.seenIDs[tr.ID] = struct{}{}
-		}
-	}
-	s.recovering = true
-	defer func() { s.recovering = false }()
-	err := s.store.Replay(s.version, func(seq uint64, ds traj.Dataset) error {
-		if seq != s.version {
-			return fmt.Errorf("wal gap: expected batch %d, log has %d", s.version, seq)
-		}
-		ids := make([]traj.ID, len(ds.Trajectories))
-		for i, tr := range ds.Trajectories {
-			ids[i] = tr.ID
-		}
-		if _, err := s.ingestLocked(context.Background(), ids, func(i int) (traj.Trajectory, error) {
-			return ds.Trajectories[i], nil
-		}); err != nil {
-			return fmt.Errorf("replay batch %d: %w", seq, err)
-		}
-		return nil
-	})
+// restore loads a checkpoint payload into the empty session.
+func (s *Session) restore(payload []byte) error {
+	st, err := persist.DecodeServerState(payload)
 	if err != nil {
 		return err
 	}
-	s.recovered = s.version
-	s.publishLocked()
+	s.trajs, s.fragments, s.version = st.Trajs, st.Fragments, st.Batches
+	for _, tr := range st.Trajs {
+		s.seenIDs[tr.ID] = struct{}{}
+	}
 	return nil
 }
 
-// healFromWAL rebuilds the session's entire in-memory state from its
-// newest checkpoint plus full WAL replay. The breaker calls this once
-// its probe sequence closes it: whatever inconsistency a fault storm,
-// panic, or stuck pipeline left in memory is discarded wholesale, and
-// because every acknowledged batch is in the log (and only
-// acknowledged batches are — failed appends roll back before the ack),
-// the rebuilt state is byte-identical to a session that never faulted.
-// Each rebuild starts a new epoch, so the pipeline's kept base-cluster
-// set, built from the discarded fragments, is never folded forward.
-// In-memory sessions have no log to heal from and keep their state. A
-// failed rebuild restores the pre-heal state rather than losing
-// acknowledged data, and leaves the error in the health block.
-func (s *Session) healFromWAL() {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.store == nil || s.closed {
-		return
-	}
-	oldSeen, oldFrags, oldTrajs := s.seenIDs, s.fragments, s.trajs
-	oldVersion, oldCkpt := s.version, s.lastCkpt
+// encode renders the full dataset as a checkpoint payload.
+func (s *Session) encode() []byte {
+	return persist.EncodeServerState(persist.ServerState{Batches: s.version, Trajs: s.trajs, Fragments: s.fragments})
+}
+
+// heal rebuilds the session's entire in-memory state from its newest
+// checkpoint plus full WAL replay. The envelope calls it once the
+// breaker's probe sequence closes the breaker: whatever inconsistency
+// a fault storm, panic, or stuck pipeline left in memory is discarded
+// wholesale, and because every acknowledged batch is in the log (and
+// only acknowledged batches are), the rebuilt state is byte-identical
+// to a session that never faulted. Each rebuild starts a new epoch, so
+// the pipeline's kept base-cluster set, built from the discarded
+// fragments, is never folded forward. A failed rebuild restores the
+// pre-heal state rather than losing acknowledged data, and leaves the
+// error in the health block.
+func (s *Session) heal() {
+	oldSeen, oldFrags, oldTrajs, oldVersion := s.seenIDs, s.fragments, s.trajs, s.version
 	s.seenIDs = make(map[traj.ID]struct{})
-	s.fragments, s.trajs = nil, nil
-	s.version, s.lastCkpt = 0, 0
+	s.fragments, s.trajs, s.version = nil, nil, 0
 	s.epoch++
-	if err := s.recoverLocked(true); err != nil {
-		s.seenIDs, s.fragments, s.trajs = oldSeen, oldFrags, oldTrajs
-		s.version, s.lastCkpt = oldVersion, oldCkpt
-		// The replay may have published a partial rebuild: its
-		// fragments are not a prefix of the restored ones.
+	if err := s.env.Reload(); err != nil {
+		s.seenIDs, s.fragments, s.trajs, s.version = oldSeen, oldFrags, oldTrajs, oldVersion
+		// The failed replay's fragments are not a prefix of the restored ones.
 		s.epoch++
-		s.publishLocked()
 		s.setIngestHealth(fmt.Errorf("heal replay failed, serving pre-heal state: %v", err))
+	} else {
+		s.recovered.Store(s.version)
 	}
-}
-
-// checkpointLocked persists the full dataset as of the current batch
-// sequence; ingestMu held (the snapshot-encoding read is consistent by
-// construction).
-func (s *Session) checkpointLocked() error {
-	st := persist.ServerState{Batches: s.version, Trajs: s.trajs, Fragments: s.fragments}
-	if err := s.store.WriteCheckpoint(st.Batches, persist.EncodeServerState(st)); err != nil {
-		return err
-	}
-	if st.Batches > s.lastCkpt {
-		s.lastCkpt = st.Batches
-	}
-	return nil
+	s.publishLocked()
 }
 
 // Close shuts the session down: further ingests fail with ErrClosed,
@@ -768,21 +632,7 @@ func (s *Session) checkpointLocked() error {
 func (s *Session) Close() error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.store == nil {
-		return nil
-	}
-	var err error
-	if s.version > s.lastCkpt {
-		err = s.checkpointLocked()
-	}
-	if cerr := s.store.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.env.Close()
 }
 
 // Abort closes the durability layer without flushing or checkpointing
@@ -791,28 +641,21 @@ func (s *Session) Close() error {
 func (s *Session) Abort() {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	s.closed = true
-	if s.store != nil {
-		s.store.Abort()
-	}
+	s.env.Abort()
 }
 
 // Durable reports whether the session has a persistence store.
-func (s *Session) Durable() bool { return s.store != nil }
+func (s *Session) Durable() bool { return s.env.Durable() }
 
 // PersistStats snapshots the durability layer's counters; the zero
 // Stats when persistence is disabled.
-func (s *Session) PersistStats() persist.Stats {
-	if s.store == nil {
-		return persist.Stats{}
-	}
-	return s.store.Stats()
-}
+func (s *Session) PersistStats() persist.Stats { return s.env.PersistStats() }
 
 // RecoveredBatches reports how many acknowledged ingest batches New
-// restored (checkpoint plus WAL replay); 0 for an in-memory session or
-// a fresh namespace.
-func (s *Session) RecoveredBatches() uint64 { return s.recovered }
+// restored (checkpoint plus WAL replay), or the last heal rebuilt; 0
+// for an in-memory session or a fresh namespace. Safe to call while
+// an ingest heals the session.
+func (s *Session) RecoveredBatches() uint64 { return s.recovered.Load() }
 
 // LastGood returns the degraded-mode response stored under key.
 func (s *Session) LastGood(key string) (any, bool) {

@@ -1,7 +1,6 @@
-// Package spatial provides spatial indexes over road-network segments:
+// Package spatial provides a spatial index over road-network segments:
 // a uniform grid for fast nearest-segment lookups (the map matcher's
-// candidate generator) and an STR-packed R-tree for range queries over
-// arbitrary rectangles.
+// candidate generator) and radius queries.
 package spatial
 
 import (

@@ -129,68 +129,6 @@ func TestGridRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestRTreeSearchAgainstBruteForce(t *testing.T) {
-	g := buildTestGrid(t, 8, 8, 100)
-	rt, err := NewRTree(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100; i++ {
-		q := geo.RectFromPoints(
-			geo.Pt(rng.Float64()*700, rng.Float64()*700),
-			geo.Pt(rng.Float64()*700, rng.Float64()*700),
-		)
-		got := rt.Search(q)
-		want := map[roadnet.SegID]bool{}
-		for _, s := range g.Segments() {
-			gs := g.SegmentGeometry(s.ID)
-			if geo.RectFromPoints(gs.A, gs.B).Intersects(q) {
-				want[s.ID] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("Search(%v) = %d segments, want %d", q, len(got), len(want))
-		}
-		for _, sid := range got {
-			if !want[sid] {
-				t.Fatalf("Search returned %d which does not intersect", sid)
-			}
-		}
-	}
-}
-
-func TestRTreeSearchPoint(t *testing.T) {
-	g := buildTestGrid(t, 5, 5, 100)
-	rt, err := NewRTree(g, 0) // default capacity
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rt.SearchPoint(geo.Pt(200, 200), 49)
-	if len(got) != 4 {
-		t.Fatalf("SearchPoint = %d, want 4", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Dist < got[i-1].Dist {
-			t.Error("SearchPoint not sorted")
-		}
-	}
-}
-
-func TestRTreeStructure(t *testing.T) {
-	g := buildTestGrid(t, 10, 10, 100)
-	rt, err := NewRTree(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Len() != g.NumSegments() {
-		t.Errorf("Len = %d, want %d", rt.Len(), g.NumSegments())
-	}
-	if h := rt.Height(); h < 2 {
-		t.Errorf("Height = %d, want >= 2 for 180 segments at capacity 8", h)
-	}
-}
-
 func BenchmarkGridNearest(b *testing.B) {
 	g := buildTestGrid(b, 30, 30, 100)
 	grid, err := NewGrid(g, 100)

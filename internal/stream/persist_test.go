@@ -326,64 +326,6 @@ func TestRecoveredSnapshotMatchesCleanRestart(t *testing.T) {
 	}
 }
 
-// TestPersistCacheWarmRestart is the restart-hit-rate pin: with
-// PersistCache on, checkpoints carry the warm distance-cache entries,
-// and a recovered clusterer re-ingesting the identical batch answers
-// every junction-pair query from the imported cache — zero
-// shortest-path work. The control leg with PersistCache off recomputes
-// (proving the assertion is not vacuous).
-func TestPersistCacheWarmRestart(t *testing.T) {
-	g, ds := streamSetup(t)
-	batch := batches(ds, 3)[0]
-	for _, warm := range []bool{true, false} {
-		t.Run(fmt.Sprintf("persistcache=%v", warm), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := durableConfig(dir, persist.Options{CheckpointEvery: 1, PersistCache: warm})
-			cfg.Window = 1
-			c, err := New(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first, err := c.Ingest(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			c2, err := New(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c2.Close()
-			if rec := c2.PersistStats().Recovery; rec.Replayed != 0 {
-				t.Fatalf("replayed %d records; replay would warm the cache and void the test", rec.Replayed)
-			}
-			second, err := c2.Ingest(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := renderClusters(second.Clusters), renderClusters(first.Clusters); got != want {
-				t.Fatalf("restarted re-ingest changed the clustering\ngot:\n%s\nwant:\n%s", got, want)
-			}
-			if warm {
-				if second.RefineStats.SPQueries != 0 || second.RefineStats.CacheMisses != 0 {
-					t.Fatalf("warm restart recomputed distances: %d SP queries, %d cache misses",
-						second.RefineStats.SPQueries, second.RefineStats.CacheMisses)
-				}
-				if st := c2.CacheStats(); st.Hits == 0 {
-					t.Fatal("warm restart reported zero cache hits")
-				}
-			} else if second.RefineStats.Pairs > 0 &&
-				second.RefineStats.ELBPruned < second.RefineStats.Pairs &&
-				second.RefineStats.CacheMisses == 0 && second.RefineStats.SPQueries == 0 {
-				t.Fatal("cold restart answered from a cache that was not persisted")
-			}
-		})
-	}
-}
-
 // TestSnapshotDoesNotAlias is the aliasing regression pin: the
 // clusters a Snapshot carries are deep copies, so a caller that
 // mutates them — routes, members, fragment points — cannot corrupt the

@@ -16,10 +16,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/commit"
 	"repro/internal/distcache"
 	"repro/internal/fault"
 	"repro/internal/guard"
@@ -70,10 +70,10 @@ type Config struct {
 	// batch can be retried — and clustering output with a nil or idle
 	// injector is byte-identical to an un-faulted run.
 	Fault *fault.Injector
-	// Persist makes the clusterer durable: every acknowledged batch is
-	// appended to a write-ahead log in Persist.Dir, the full state
-	// (standing flows, batch index, ε-graph rows, optionally warm
-	// distance-cache entries) is checkpointed every
+	// Persist makes the clusterer durable through its commit envelope
+	// (DESIGN.md §12.4): every acknowledged batch is in a write-ahead
+	// log in Persist.Dir before it is published, the full state
+	// (standing flows, batch index, ε-graph rows) is checkpointed every
 	// Persist.CheckpointEvery batches and on Close, and New recovers by
 	// loading the newest valid checkpoint and replaying the WAL tail
 	// through the normal ingest path — so a reopened clusterer's
@@ -82,10 +82,10 @@ type Config struct {
 	// default) keeps the clusterer in-memory only. Persist.Obs and
 	// Persist.Fault default to Config.Obs and Config.Fault.
 	Persist *persist.Options
-	// Breaker adds a circuit breaker in front of IngestCtx: infra-class
-	// failures (injected faults, contained panics) in consecutive
-	// ingests trip it open, after which ingests are rejected with a
-	// *guard.QuarantinedError until the cooldown elapses and a probe
+	// Breaker adds a circuit breaker in front of IngestCtx: consecutive
+	// infra-class failures (injected faults, contained panics, failed
+	// WAL appends) trip it open, after which ingests are rejected with
+	// a *guard.QuarantinedError until the cooldown elapses and a probe
 	// batch succeeds. Reads (Current, StandingFlows) are unaffected —
 	// every failed ingest rolls back fully, so the last committed state
 	// stays servable. The zero value (TripAfter 0) disables it.
@@ -138,29 +138,22 @@ type Clusterer struct {
 	// along with Config.Fault unless the refine config pins its own.
 	cache *distcache.Cache
 
-	// store is the durability layer (nil without Config.Persist);
-	// lastCkpt is the batch index the newest checkpoint covers, and
-	// recovering flags that IngestCtx is replaying the WAL (so it must
-	// not re-append records or draw ingest-fault decisions).
-	store      *persist.Store
-	lastCkpt   int
-	recovering bool
+	// env is the commit envelope: fault draws, containment, the WAL,
+	// checkpoints, and guard's breaker (disabled unless Config.Breaker
+	// is set).
+	env   *commit.Envelope
+	guard *guard.Guard
 
 	// current is the last committed snapshot, published atomically
 	// after each commit so concurrent readers observe the clustering
 	// without synchronizing with Ingest (see Current).
 	current atomic.Pointer[Snapshot]
 
-	// breaker guards the ingest path (nil unless Config.Breaker is
-	// enabled); replayed WAL batches bypass it — they were committed.
-	breaker *guard.Breaker
-
 	batch    int
 	standing []flowEntry
-	closed   bool
 	// epsDirty flags that the maintained ε-graph no longer mirrors the
-	// standing set (a merge failed after eviction had been applied to
-	// the graph); the next merge rebuilds it from empty over the full
+	// standing set (a commit failed after its merge began editing the
+	// graph); the next merge rebuilds it from empty over the full
 	// standing set, which is byte-identical to incremental maintenance
 	// (see neat.EpsGraph).
 	epsDirty bool
@@ -232,86 +225,50 @@ func New(g *roadnet.Graph, cfg Config) (*Clusterer, error) {
 			ingest:    cfg.Obs.Histogram("stream_ingest_seconds", ingestBuckets),
 		},
 	}
-	if cfg.Breaker.TripAfter > 0 {
-		c.breaker = guard.NewBreaker(cfg.Breaker, cfg.Now)
-	}
+	c.guard = guard.New(guard.Config{Breaker: cfg.Breaker, Now: cfg.Now})
+	c.env = commit.New("stream", c.guard, cfg.Fault, ErrClosed)
 	if cfg.Persist != nil {
-		o := *cfg.Persist
-		if o.Obs == nil {
-			o.Obs = cfg.Obs
-		}
-		if o.Fault == nil {
-			o.Fault = cfg.Fault
-		}
-		store, err := persist.Open(o)
-		if err != nil {
-			return nil, fmt.Errorf("stream: open persistence: %w", err)
-		}
-		c.store = store
-		if err := c.recover(); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("stream: recover: %w", err)
+		// Replayed batches re-run Phases 1-3 exactly as they did
+		// originally, so the recovered standing set and ε-graph are
+		// byte-identical to an uncrashed clusterer's — not an
+		// approximation loaded from disk.
+		if err := c.env.Open(*cfg.Persist, cfg.Obs, nil, c.encode, c.restore, c.replay, nil); err != nil {
+			return nil, fmt.Errorf("stream: %w", err)
 		}
 	}
 	return c, nil
 }
 
-// recover restores the clusterer from the newest valid checkpoint and
-// replays the WAL tail through the normal ingest path. Replayed
-// batches re-run Phases 1-3 exactly as they did originally, so the
-// recovered standing set and ε-graph are byte-identical to an
-// uncrashed clusterer's — not an approximation loaded from disk.
-func (c *Clusterer) recover() error {
-	if seq, payload, ok := c.store.Checkpoint(); ok {
-		st, err := persist.DecodeStreamState(payload)
-		if err != nil {
-			return fmt.Errorf("checkpoint seq %d: %w", seq, err)
-		}
-		if err := c.restoreState(st); err != nil {
-			return fmt.Errorf("checkpoint seq %d: %w", seq, err)
-		}
+// replay applies one logged batch.
+func (c *Clusterer) replay(batch traj.Dataset) error {
+	start := time.Now()
+	snap, err := c.apply(context.Background(), batch)
+	if err == nil {
+		c.publish(&snap, start)
 	}
-	c.recovering = true
-	defer func() { c.recovering = false }()
-	return c.store.Replay(uint64(c.batch), func(seq uint64, batch traj.Dataset) error {
-		if seq != uint64(c.batch) {
-			return fmt.Errorf("wal gap: expected batch %d, log has %d", c.batch, seq)
-		}
-		_, err := c.IngestCtx(context.Background(), batch)
-		return err
-	})
+	return err
 }
 
-// restoreState loads a decoded checkpoint into the clusterer.
-func (c *Clusterer) restoreState(st persist.StreamState) error {
-	c.standing = c.standing[:0]
+// restore loads a checkpoint payload into the empty clusterer.
+func (c *Clusterer) restore(payload []byte) error {
+	st, err := persist.DecodeStreamState(payload)
+	if err != nil {
+		return err
+	}
 	flows := make([]*neat.FlowCluster, len(st.Entries))
 	for i, e := range st.Entries {
 		c.standing = append(c.standing, flowEntry{flow: e.Flow, batch: e.Batch})
 		flows[i] = e.Flow
 	}
 	c.batch = st.Batch
-	c.lastCkpt = st.Batch
-	if st.Adjacency != nil {
-		eg, err := neat.RestoreEpsGraph(c.g, c.cfg.Neat.Refine, flows, st.Adjacency)
-		if err != nil {
-			return err
-		}
-		c.eps = eg
-	} else {
+	if st.Adjacency == nil {
 		// The checkpoint was taken while the graph was dirty; the next
 		// merge rebuilds it over the full standing set.
 		c.epsDirty = true
+		return nil
 	}
-	if c.cache != nil && len(st.Cache) > 0 && st.CacheScope == neat.CacheScope(c.g, c.cfg.Neat.Refine) {
-		c.cache.SetScope(st.CacheScope)
-		entries := make([]distcache.Entry, len(st.Cache))
-		for i, e := range st.Cache {
-			entries[i] = distcache.Entry{Key: e.Key, Dist: e.Dist, Bound: e.Bound}
-		}
-		c.cache.Import(entries)
-	}
-	return nil
+	c.eps, err = neat.RestoreEpsGraph(c.g, c.cfg.Neat.Refine, flows, st.Adjacency)
+	return err
 }
 
 // Ingest processes one batch: Phases 1-2 over the batch only, window
@@ -322,85 +279,55 @@ func (c *Clusterer) Ingest(batch traj.Dataset) (Snapshot, error) {
 
 // IngestCtx is Ingest with cooperative cancellation: the context is
 // threaded through the batch run and the standing-set merge. On any
-// failure — cancellation, deadline, an injected fault, or a contained
-// panic — the clusterer's state is exactly as it was before the call
-// (nothing is committed, the batch index does not advance), so the
-// same batch can be retried; a later successful retry produces output
-// byte-identical to a never-failed run.
+// failure — cancellation, deadline, an injected fault, a contained
+// panic, or a failed WAL append — the clusterer's state is exactly as
+// it was before the call (nothing is committed, the batch index does
+// not advance), so the same batch can be retried; a later successful
+// retry produces output byte-identical to a never-failed run.
 //
-// With Config.Breaker enabled, consecutive infra-class failures
-// (injected faults, panics) trip the breaker: further calls fail fast
-// with a *guard.QuarantinedError until the cooldown elapses and a
-// probe batch succeeds. Cancellation and validation failures never
-// trip it — they are the caller's condition, not the pipeline's.
+// With Config.Breaker enabled, consecutive infra-class failures trip
+// the breaker: further calls fail fast with a *guard.QuarantinedError
+// until the cooldown elapses and a probe batch succeeds. Cancellation
+// and validation failures never trip it — they are the caller's
+// condition, not the pipeline's.
 func (c *Clusterer) IngestCtx(ctx context.Context, batch traj.Dataset) (Snapshot, error) {
-	if c.closed {
-		return Snapshot{}, fmt.Errorf("stream: batch %d: %w", c.batch, ErrClosed)
-	}
-	if c.breaker != nil && !c.recovering {
-		if d, retry := c.breaker.Allow(); d == guard.Reject {
-			return Snapshot{}, fmt.Errorf("stream: batch %d: %w", c.batch,
-				&guard.QuarantinedError{Session: "stream", RetryAfter: retry})
+	start := time.Now()
+	prevStanding, prevBatch := append([]flowEntry(nil), c.standing...), c.batch
+	undo := func() {
+		if c.batch != prevBatch {
+			// The merge may have edited the ε-graph: the next merge
+			// rebuilds it over the restored standing set.
+			c.epsDirty = true
 		}
+		c.standing, c.batch = prevStanding, prevBatch
 	}
-	snap, err := c.ingest(ctx, batch)
-	if c.breaker != nil && !c.recovering {
-		var pe *guard.PanicError
-		if fault.IsInjected(err) || errors.As(err, &pe) {
-			c.breaker.Failure()
-		} else {
-			// Success and caller-class failures alike clear the run: only
-			// infra faults may trip, and a pending probe slot must always
-			// resolve so the breaker cannot wedge half-open.
-			c.breaker.Success()
-		}
+	var snap Snapshot
+	err := c.env.Commit(ctx, undo, func(ctx context.Context) (traj.Dataset, error) {
+		var err error
+		snap, err = c.apply(ctx, batch)
+		return batch, err
+	}, func() { c.publish(&snap, start) })
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("stream: batch %d: %w", c.batch, err)
 	}
-	return snap, err
+	return snap, nil
 }
 
 // Quarantined reports whether the breaker currently rejects ingests.
-func (c *Clusterer) Quarantined() bool {
-	return c.breaker != nil && c.breaker.Quarantined()
-}
+func (c *Clusterer) Quarantined() bool { return c.guard.Breaker().Quarantined() }
 
 // Breaker exposes the ingest circuit breaker; nil when disabled.
-func (c *Clusterer) Breaker() *guard.Breaker { return c.breaker }
+func (c *Clusterer) Breaker() *guard.Breaker {
+	if b := c.guard.Breaker(); b.Enabled() {
+		return b
+	}
+	return nil
+}
 
-// ingest is the containment boundary: a panic anywhere in the batch
-// run, merge, or durability path is caught here, the pre-batch state
-// restored, and the panic surfaced as a typed *guard.PanicError.
-func (c *Clusterer) ingest(ctx context.Context, batch traj.Dataset) (snap Snapshot, err error) {
-	start := time.Now()
-	prevStanding := append([]flowEntry(nil), c.standing...)
-	prevBatch := c.batch
-	// rollback restores the pre-batch state. The ε-graph may already
-	// have been edited, so it is marked dirty: the next merge rebuilds
-	// it over the restored standing set.
-	rollback := func() {
-		c.standing = prevStanding
-		c.batch = prevBatch
-		c.epsDirty = true
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			rollback()
-			snap = Snapshot{}
-			err = fmt.Errorf("stream: batch %d: %w", prevBatch,
-				&guard.PanicError{Value: r, Stack: debug.Stack()})
-		}
-	}()
-	if !c.recovering {
-		// WAL replay must not draw from the fault stream: the replayed
-		// ingests already "happened", and skipping the draws keeps the
-		// injector's deterministic sequence aligned with live traffic.
-		c.cfg.Fault.Sleep(fault.Ingest)
-		if err := c.cfg.Fault.Inject(fault.Ingest); err != nil {
-			return Snapshot{}, fmt.Errorf("stream: batch %d: %w", c.batch, err)
-		}
-		if c.cfg.Fault.Hit(fault.IngestPanic) {
-			panic(fmt.Sprintf("fault: injected %s", fault.IngestPanic))
-		}
-	}
+// apply is the in-memory commit of one batch: Phases 1-2 over the
+// batch, window eviction, then the Phase 3 merge over the standing
+// set. A failure leaves the undo of IngestCtx to restore the state.
+func (c *Clusterer) apply(ctx context.Context, batch traj.Dataset) (Snapshot, error) {
 	var root *obs.Span
 	if c.cfg.Trace {
 		root = obs.StartSpan("stream.ingest")
@@ -408,13 +335,10 @@ func (c *Clusterer) ingest(ctx context.Context, batch traj.Dataset) (snap Snapsh
 	}
 	res, err := c.pipeline.RunPlanCtx(ctx, c.ingestPlan, neat.Input{Dataset: batch})
 	if err != nil {
-		// Nothing has been committed yet; state is untouched.
-		return Snapshot{}, fmt.Errorf("stream: batch %d: %w", c.batch, err)
+		return Snapshot{}, err
 	}
 	root.Adopt(res.Trace)
-	snap = Snapshot{Batch: c.batch, NewFlows: len(res.Flows), Timing: res.Timing}
-	// The merge below can fail (cancellation, injected SP faults);
-	// rollback undoes everything from here on.
+	snap := Snapshot{Batch: c.batch, NewFlows: len(res.Flows), Timing: res.Timing, Trace: root}
 	// Evict flows older than the window. The standing list is in batch
 	// order (each ingest appends), so the cutoff removes a prefix —
 	// which is exactly the edit the maintained ε-graph supports.
@@ -434,42 +358,25 @@ func (c *Clusterer) ingest(ctx context.Context, batch traj.Dataset) (snap Snapsh
 	}
 	c.batch++
 	snap.StandingFlows = len(c.standing)
-
 	if err := c.merge(ctx, &snap, res.Flows, evicted, root); err != nil {
-		rollback()
-		return Snapshot{}, fmt.Errorf("stream: merge after batch %d: %w", snap.Batch, err)
+		return Snapshot{}, fmt.Errorf("merge: %w", err)
 	}
-	// The batch is committed in memory; make it durable before
-	// acknowledging. An append failure (disk full, injected fault)
-	// rolls the commit back so the caller can retry — the WAL never
-	// acknowledges a batch the log does not hold.
-	if c.store != nil && !c.recovering {
-		if err := c.store.AppendBatch(uint64(snap.Batch), batch); err != nil {
-			rollback()
-			return Snapshot{}, fmt.Errorf("stream: wal append batch %d: %w", snap.Batch, err)
-		}
-	}
-	// Hand the caller a deep copy: snapshots must never alias the live
-	// flows the clusterer keeps merging (see TestSnapshotDoesNotAlias).
+	return snap, nil
+}
+
+// publish hands a committed snapshot to Current. Its clusters become
+// deep copies: snapshots must never alias the live flows the clusterer
+// keeps merging (see TestSnapshotDoesNotAlias).
+func (c *Clusterer) publish(snap *Snapshot, start time.Time) {
 	snap.Clusters = neat.CloneClusters(snap.Clusters)
-	if c.store != nil && !c.recovering {
-		if every := c.store.CheckpointEvery(); every > 0 && c.batch-c.lastCkpt >= every {
-			// Best-effort: a failed checkpoint only delays compaction
-			// (recovery replays more WAL); the error is surfaced in
-			// PersistStats().LastCheckpointError.
-			c.writeCheckpoint()
-		}
-	}
-	root.End()
-	snap.Trace = root
+	snap.Trace.End()
 	c.m.batches.Inc()
 	c.m.newFlows.Add(int64(snap.NewFlows))
 	c.m.evictions.Add(int64(snap.EvictedFlows))
 	c.m.standing.Set(float64(snap.StandingFlows))
 	c.m.ingest.ObserveDuration(time.Since(start))
-	pub := snap
+	pub := *snap
 	c.current.Store(&pub)
-	return snap, nil
 }
 
 // Current returns the most recently committed snapshot, or nil before
@@ -487,61 +394,22 @@ func (c *Clusterer) Current() *Snapshot { return c.current.Load() }
 // it never does. Close is idempotent, and read-only accessors
 // (StandingFlows, CacheStats, Batches) keep working on the final
 // state.
-func (c *Clusterer) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.store == nil {
-		return nil
-	}
-	var err error
-	if c.batch > c.lastCkpt {
-		err = c.writeCheckpoint()
-	}
-	if cerr := c.store.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (c *Clusterer) Close() error { return c.env.Close() }
 
 // Abort closes the clusterer without flushing or checkpointing — the
 // process-internal equivalent of kill -9, for crash-recovery tests.
 // Whatever the WAL holds on disk (plus the OS page cache for
 // same-process reopens) is what recovery will see.
-func (c *Clusterer) Abort() {
-	c.closed = true
-	if c.store != nil {
-		c.store.Abort()
-	}
-}
+func (c *Clusterer) Abort() { c.env.Abort() }
 
 // PersistStats snapshots the durability layer's counters; the zero
 // Stats when persistence is disabled.
-func (c *Clusterer) PersistStats() persist.Stats {
-	if c.store == nil {
-		return persist.Stats{}
-	}
-	return c.store.Stats()
-}
+func (c *Clusterer) PersistStats() persist.Stats { return c.env.PersistStats() }
 
-// writeCheckpoint persists the full clusterer state as of the current
-// batch index.
-func (c *Clusterer) writeCheckpoint() error {
-	payload := persist.EncodeStreamState(c.checkpointState())
-	if err := c.store.WriteCheckpoint(uint64(c.batch), payload); err != nil {
-		return err
-	}
-	c.lastCkpt = c.batch
-	return nil
-}
-
-// checkpointState assembles the serializable clusterer state: the
-// standing flows with their batch indices, the maintained ε-graph's
-// adjacency rows (omitted while dirty — recovery then rebuilds the
-// graph), and, when Options.PersistCache is on, the warmest
-// distance-cache entries with their scope.
-func (c *Clusterer) checkpointState() persist.StreamState {
+// encode renders the checkpoint payload: the standing flows with their
+// batch indices and the maintained ε-graph's adjacency rows (omitted
+// while dirty — recovery then rebuilds the graph).
+func (c *Clusterer) encode() []byte {
 	st := persist.StreamState{Batch: c.batch}
 	if len(c.standing) > 0 {
 		st.Entries = make([]persist.StreamEntry, len(c.standing))
@@ -552,17 +420,7 @@ func (c *Clusterer) checkpointState() persist.StreamState {
 	if !c.epsDirty {
 		st.Adjacency = c.eps.Adjacency()
 	}
-	if on, limit := c.store.PersistCache(); on && c.cache != nil {
-		st.CacheScope = c.cache.Scope()
-		entries := c.cache.Export(limit)
-		if len(entries) > 0 {
-			st.Cache = make([]persist.CacheEntry, len(entries))
-			for i, e := range entries {
-				st.Cache[i] = persist.CacheEntry{Key: e.Key, Dist: e.Dist, Bound: e.Bound}
-			}
-		}
-	}
-	return st
+	return persist.EncodeStreamState(st)
 }
 
 // merge is the Phase 3 merge: instead of rebuilding the ε-graph over
