@@ -16,7 +16,6 @@ import (
 	"log"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/hotspot"
 	"repro/internal/mapgen"
@@ -40,9 +39,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := core.NewPipeline(g).Run(ds, core.Config{
-		Flow: core.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: 8},
-	}, core.LevelFlow)
+	res, err := neat.NewPipeline(g).Run(ds, neat.Config{
+		Flow: neat.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: 8},
+	}, neat.LevelFlow)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/neat"
 	"repro/internal/roadnet"
@@ -43,8 +42,8 @@ func run() error {
 	// Five trips over the network. Each is a time-ordered sequence of
 	// road-network locations (sid, x, y, t); the pipeline splits them
 	// at junctions into t-fragments.
-	mk := func(id traj.ID, route ...roadnet.SegID) core.Trajectory {
-		tr := core.Trajectory{ID: id}
+	mk := func(id traj.ID, route ...roadnet.SegID) traj.Trajectory {
+		tr := traj.Trajectory{ID: id}
 		t := 0.0
 		for _, s := range route {
 			gs := g.SegmentGeometry(s)
@@ -55,9 +54,9 @@ func run() error {
 		}
 		return tr
 	}
-	ds := core.Dataset{
+	ds := traj.Dataset{
 		Name: "fig1",
-		Trajectories: []core.Trajectory{
+		Trajectories: []traj.Trajectory{
 			mk(1, s1, s2), // T1: along the main road
 			mk(2, s1, s2), // T2: same
 			mk(3, s1, s3), // T3: turns north
@@ -66,12 +65,12 @@ func run() error {
 		},
 	}
 
-	pipeline := core.NewPipeline(g)
-	cfg := core.Config{
-		Flow:   core.FlowConfig{Weights: neat.WeightsFlowOnly},
-		Refine: core.RefineConfig{Epsilon: 400, UseELB: true, Bounded: true},
+	pipeline := neat.NewPipeline(g)
+	cfg := neat.Config{
+		Flow:   neat.FlowConfig{Weights: neat.WeightsFlowOnly},
+		Refine: neat.RefineConfig{Epsilon: 400, UseELB: true, Bounded: true},
 	}
-	res, err := pipeline.Run(ds, cfg, core.LevelOpt)
+	res, err := pipeline.Run(ds, cfg, neat.LevelOpt)
 	if err != nil {
 		return err
 	}

@@ -16,11 +16,11 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/mapgen"
 	"repro/internal/mobisim"
 	"repro/internal/neat"
 	"repro/internal/stream"
+	"repro/internal/traj"
 )
 
 func main() {
@@ -39,9 +39,9 @@ func run() error {
 		return err
 	}
 	clusterer, err := stream.New(g, stream.Config{
-		Neat: core.Config{
-			Flow:   core.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: 4},
-			Refine: core.RefineConfig{Epsilon: 1500, UseELB: true, Bounded: true},
+		Neat: neat.Config{
+			Flow:   neat.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: 4},
+			Refine: neat.RefineConfig{Epsilon: 1500, UseELB: true, Bounded: true},
 		},
 		Window: 4, // keep the last 4 batches of traffic
 	})
@@ -58,7 +58,7 @@ func run() error {
 		if b == batches-1 {
 			hi = len(ds.Trajectories)
 		}
-		batch := core.Dataset{
+		batch := traj.Dataset{
 			Name:         fmt.Sprintf("batch-%d", b),
 			Trajectories: ds.Trajectories[lo:hi],
 		}
@@ -75,10 +75,10 @@ func run() error {
 	}
 
 	// Compare against a one-shot run over everything (unbounded memory).
-	oneShot, err := core.NewPipeline(g).Run(ds, core.Config{
-		Flow:   core.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: 4},
-		Refine: core.RefineConfig{Epsilon: 1500, UseELB: true, Bounded: true},
-	}, core.LevelOpt)
+	oneShot, err := neat.NewPipeline(g).Run(ds, neat.Config{
+		Flow:   neat.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: 4},
+		Refine: neat.RefineConfig{Epsilon: 1500, UseELB: true, Bounded: true},
+	}, neat.LevelOpt)
 	if err != nil {
 		return err
 	}

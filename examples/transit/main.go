@@ -14,7 +14,6 @@ import (
 	"log"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/mapgen"
 	"repro/internal/mobisim"
 	"repro/internal/neat"
@@ -42,10 +41,10 @@ func run() error {
 	fmt.Printf("simulated %d commuter trips (%d location samples)\n",
 		len(ds.Trajectories), ds.TotalPoints())
 
-	res, err := core.NewPipeline(g).Run(ds, core.Config{
-		Flow:   core.FlowConfig{Weights: neat.WeightsTrafficMonitoring, MinCard: 10},
-		Refine: core.RefineConfig{Epsilon: 1200, UseELB: true, Bounded: true},
-	}, core.LevelFlow)
+	res, err := neat.NewPipeline(g).Run(ds, neat.Config{
+		Flow:   neat.FlowConfig{Weights: neat.WeightsTrafficMonitoring, MinCard: 10},
+		Refine: neat.RefineConfig{Epsilon: 1200, UseELB: true, Bounded: true},
+	}, neat.LevelFlow)
 	if err != nil {
 		return err
 	}
@@ -54,7 +53,7 @@ func run() error {
 
 	// Rank corridors by passenger-kilometers: riders x route length.
 	type proposal struct {
-		flow   *core.FlowCluster
+		flow   *neat.FlowCluster
 		riders int
 		length float64
 	}

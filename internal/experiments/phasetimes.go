@@ -24,7 +24,7 @@ type PhaseTiming struct {
 
 // PhaseTimesReport is the JSON document neatbench -phasejson emits:
 // one small fixed scenario (the ATL500 workload at the environment's
-// scale) run through every execution shape of the staged engine. CI
+// scale) run through every execution shape of the plan engine. CI
 // uploads it as BENCH_phase_times.json so the per-phase perf
 // trajectory accumulates across commits.
 type PhaseTimesReport struct {

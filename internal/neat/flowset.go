@@ -180,10 +180,11 @@ func (p *Pipeline) BuildFlowSet(ctx context.Context, kept *ClusterSet, frags []t
 }
 
 // RunFlowSet answers one read from a flow set: past base level it
-// filters the flows by cfg.Flow.MinCard, and at opt level it runs the
-// refine stage over the survivors under a "neat.merge" root span. The
-// result carries no base clusters (fs.BaseClusters counts them), no
-// fragment count and only the Phase 3 timing. It counts as one run.
+// filters the flows by cfg.Flow.MinCard, and at opt level it runs a
+// plan's Phase 3 step over the survivors under a "neat.merge" root
+// span. The result carries no base clusters (fs.BaseClusters counts
+// them), no fragment count and only the Phase 3 timing. It counts as
+// one run.
 // With the batched builder, a read the set's kept junction table
 // answers skips the grid scan and the distance cache (FlowSet.epsGraph,
 // RefineStats.FromTable); the clustering is the same either way.
@@ -207,8 +208,7 @@ func (p *Pipeline) RunFlowSet(ctx context.Context, fs *FlowSet, cfg Config, leve
 			return nil, err
 		}
 		res.Trace = p.newRunSpan("neat.merge", LevelOpt)
-		st := &state{ctx: ctx, res: res, flowSet: fs, minCard: cfg.Flow.MinCard}
-		if err := (RefineStage{Cfg: cfg.Refine}).run(p, st); err != nil {
+		if err := p.refine(ctx, res, cfg.Refine, fs, cfg.Flow.MinCard); err != nil {
 			return nil, err
 		}
 		res.Trace.End()

@@ -49,7 +49,7 @@ type Config struct {
 
 // Validate checks the full configuration — both phase configs — in one
 // place. Entry points that run a subset of the phases (NewPlan)
-// validate only the stages they compose; boundary layers (stream,
+// validate only the phases they run; boundary layers (stream,
 // server, the CLI) validate everything up front with this.
 func (c Config) Validate() error {
 	if err := c.Flow.Validate(); err != nil {
@@ -113,25 +113,19 @@ type Result struct {
 	Trace *obs.Span
 }
 
-// Pipeline runs NEAT over a fixed road network. It owns the Phase 1
-// partitioner (and its gap-repair shortest path engine); create one
-// pipeline per graph and reuse it across datasets. A Pipeline is not
-// safe for concurrent use.
+// Pipeline runs NEAT over a fixed road network. It keeps only the
+// graph, its metrics handles and the trace flag — every run's state
+// lives in the run — so create one pipeline per graph and reuse it
+// across datasets. It is safe for concurrent use once Instrument and
+// EnableTracing have run.
 type Pipeline struct {
-	g    *roadnet.Graph
-	part *traj.Partitioner
-
+	g     *roadnet.Graph
 	trace bool
 	m     pipelineMetrics
 }
 
 // NewPipeline creates a Pipeline over g.
-func NewPipeline(g *roadnet.Graph) *Pipeline {
-	return &Pipeline{
-		g:    g,
-		part: traj.NewPartitioner(g, shortest.New(g, nil)),
-	}
-}
+func NewPipeline(g *roadnet.Graph) *Pipeline { return &Pipeline{g: g} }
 
 // Graph returns the pipeline's road network.
 func (p *Pipeline) Graph() *roadnet.Graph { return p.g }
@@ -214,8 +208,8 @@ func (p *Pipeline) recordRun(res *Result) {
 }
 
 // Run executes NEAT on the dataset up to the requested level. It is a
-// thin plan over the stage engine (see stage.go); phase sequencing
-// lives in NewPlan/RunPlan.
+// thin plan over the plan engine (see stage.go); phase sequencing
+// lives in RunPlanCtx.
 func (p *Pipeline) Run(ds traj.Dataset, cfg Config, level Level) (*Result, error) {
 	plan, err := NewPlan(cfg, level, FromDataset, Exec{})
 	if err != nil {
@@ -308,9 +302,9 @@ func AnnotateRefineSpan(sp *obs.Span, cfg RefineConfig, stats RefineStats, clust
 	annotateRefine(sp, cfg, stats, clusters)
 }
 
-// Partition exposes the pipeline's Phase 1 partitioner for callers that
-// manage fragments themselves (e.g. the streaming example and the
-// distributed preprocessing nodes of §II-C).
+// Partition runs Phase 1's trajectory partitioning alone, serially on
+// a partitioner of its own, for callers that manage fragments
+// themselves (tests and the root paper benchmarks).
 func (p *Pipeline) Partition(ds traj.Dataset) ([]traj.TFragment, error) {
-	return p.part.PartitionDataset(ds)
+	return traj.NewPartitioner(p.g, shortest.New(p.g, nil)).PartitionDataset(ds)
 }

@@ -458,21 +458,16 @@ func (c RefineConfig) batched() bool {
 // from the batched one-to-many builder (see RefineConfig.Workers);
 // both produce the identical clustering.
 func RefineFlows(g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig) ([]*TrajectoryCluster, RefineStats, error) {
-	return RefineFlowsCtx(context.Background(), g, flows, cfg)
+	return refineFlows(context.Background(), g, flows, cfg, nil, 0)
 }
 
-// RefineFlowsCtx is RefineFlows with cooperative cancellation: when ctx
+// refineFlows is RefineFlows with cooperative cancellation: when ctx
 // is cancelled mid-build, every builder stops promptly (workers drain,
 // no goroutine leaks), partial work is discarded, and the ctx error is
 // returned. A re-run with an uncancelled context is byte-identical to a
 // run that was never cancelled — cancellation never leaks into state.
-func RefineFlowsCtx(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig) ([]*TrajectoryCluster, RefineStats, error) {
-	return refineFlows(ctx, g, flows, cfg, nil, 0)
-}
-
-// refineFlows is RefineFlowsCtx. A non-nil fs says flows are its flows
-// at minCard, so the batched builder may read and keep fs's junction
-// table (FlowSet.epsGraph).
+// A non-nil fs says flows are its flows at minCard, so the batched
+// builder may read and keep fs's junction table (FlowSet.epsGraph).
 func refineFlows(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, fs *FlowSet, minCard int) ([]*TrajectoryCluster, RefineStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, RefineStats{}, err

@@ -2,6 +2,7 @@ package neat
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,42 +12,60 @@ import (
 	"repro/internal/traj"
 )
 
-// stageNames flattens a plan's stage sequence for comparison.
-func stageNames(p *Plan) []string {
+// stepSpans names the phase spans directly under a traced run's root.
+func stepSpans(res *Result) []string {
 	var out []string
-	for _, s := range p.Stages() {
-		out = append(out, s.Name())
+	for _, c := range res.Trace.Children() {
+		out = append(out, c.Name())
 	}
 	return out
 }
 
+// TestPlanComposition pins the steps each (level, input) plan runs, as
+// its trace shows them, and that a cancelled context runs none.
 func TestPlanComposition(t *testing.T) {
-	cfg := DefaultConfig()
+	g, ds := genInstance(t, 3)
+	p := NewPipeline(g)
+	p.EnableTracing(true)
+	frags, err := p.Partition(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Flow:   FlowConfig{Weights: WeightsBalanced, MinCard: 1, Beta: 2},
+		Refine: RefineConfig{Epsilon: 1200, MinPts: 1},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	cases := []struct {
 		level Level
 		in    PlanInput
 		want  []string
 	}{
-		{LevelBase, FromDataset, []string{"partition", "base_clusters"}},
-		{LevelFlow, FromDataset, []string{"partition", "base_clusters", "flow_merge"}},
-		{LevelOpt, FromDataset, []string{"partition", "base_clusters", "flow_merge", "refine"}},
-		{LevelBase, FromFragments, []string{"base_clusters"}},
-		{LevelOpt, FromFragments, []string{"base_clusters", "flow_merge", "refine"}},
+		{LevelBase, FromDataset, []string{"phase1.partition", "phase1.base_clusters"}},
+		{LevelFlow, FromDataset, []string{"phase1.partition", "phase1.base_clusters", "phase2.flow_clusters"}},
+		{LevelOpt, FromDataset, []string{"phase1.partition", "phase1.base_clusters", "phase2.flow_clusters", "phase3.refine"}},
+		{LevelBase, FromFragments, []string{"phase1.base_clusters"}},
+		{LevelOpt, FromFragments, []string{"phase1.base_clusters", "phase2.flow_clusters", "phase3.refine"}},
 	}
 	for _, c := range cases {
 		plan, err := NewPlan(cfg, c.level, c.in, Exec{})
 		if err != nil {
-			t.Fatalf("%s/%s: %v", c.level, c.in, err)
+			t.Fatalf("%s/%d: %v", c.level, c.in, err)
 		}
-		got := stageNames(plan)
-		if fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Errorf("%s/%s: stages %v, want %v", c.level, c.in, got, c.want)
+		in := Input{Dataset: ds, Fragments: frags}
+		res, err := p.RunPlan(plan, in)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", c.level, c.in, err)
 		}
-		if plan.Level() != c.level || plan.Input() != c.in {
-			t.Errorf("%s/%s: accessors report %s/%s", c.level, c.in, plan.Level(), plan.Input())
+		if got := stepSpans(res); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s/%d: steps %v, want %v", c.level, c.in, got, c.want)
 		}
-		if s := plan.String(); !strings.HasPrefix(s, c.in.String()) {
-			t.Errorf("String() = %q, want %q prefix", s, c.in.String())
+		if res.Level != c.level || res.Trace.LabelMap()["level"] != c.level.String() {
+			t.Errorf("%s/%d: result level %s, trace %v", c.level, c.in, res.Level, res.Trace.LabelMap())
+		}
+		if _, err := p.RunPlanCtx(cancelled, plan, in); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s/%d: cancelled run: err %v", c.level, c.in, err)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func (s *Span) AddChild(name string, start time.Time, d time.Duration) *Span {
 // Adopt grafts an independently started span tree under s as a child,
 // re-parenting its root. The streaming clusterer uses it to collect
 // the per-batch pipeline run and the standing-set merge — each a root
-// tree produced by the stage executor — under one ingest span.
+// tree produced by the plan engine — under one ingest span.
 // Nil-safe on both sides: adopting nil, or onto nil, is a no-op.
 func (s *Span) Adopt(child *Span) {
 	if s == nil || child == nil {

@@ -3,6 +3,7 @@ package persist
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -179,32 +180,40 @@ func removeStrayTemps(dir string) {
 
 // writeCheckpointFile writes the framed checkpoint atomically.
 func writeCheckpointFile(dir string, seq uint64, payload []byte) error {
-	final := filepath.Join(dir, ckptName(seq))
-	tmp := final + ".tmp"
+	framed := encodeCheckpoint(seq, payload)
+	return WriteFileAtomic(filepath.Join(dir, ckptName(seq)), func(w io.Writer) error {
+		_, err := w.Write(framed)
+		return err
+	})
+}
+
+// WriteFileAtomic writes path through the temp file path+".tmp": it
+// creates (or truncates) the temp, lets write fill it, fsyncs and
+// closes it, renames it over path and fsyncs the directory. A reader
+// never sees a half-written file under path, and once it returns the
+// new file survives a crash. On any failure it removes the temp and
+// leaves path as it was.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	framed := encodeCheckpoint(seq, payload)
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(dir)
+	syncDir(filepath.Dir(path))
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"syscall"
 )
 
 // namespaceDir is the subdirectory of a data-directory root that
@@ -18,6 +19,32 @@ const namespaceDir = "sessions"
 // root: root/sessions/<name>.
 func Namespace(root, name string) string {
 	return filepath.Join(root, namespaceDir, name)
+}
+
+// MkdirAll is os.MkdirAll that also fsyncs the parent of each
+// directory it makes, so the new entries survive a crash once it
+// returns. A session's create makes its namespace with it.
+func MkdirAll(dir string) error {
+	if fi, err := os.Stat(dir); err == nil {
+		if !fi.IsDir() {
+			return &fs.PathError{Op: "mkdir", Path: dir, Err: syscall.ENOTDIR}
+		}
+		return nil
+	}
+	parent := filepath.Dir(dir)
+	if parent != dir {
+		if err := MkdirAll(parent); err != nil {
+			return err
+		}
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		if errors.Is(err, fs.ErrExist) {
+			return nil // made concurrently
+		}
+		return err
+	}
+	syncDir(parent)
+	return nil
 }
 
 // ListNamespaces returns the session names that have a namespace

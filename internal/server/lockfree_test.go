@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/neat"
+	"repro/internal/fault"
 	"repro/internal/traj"
 )
 
@@ -81,16 +81,22 @@ func TestReadsProceedDuringStalledIngest(t *testing.T) {
 	}
 }
 
-// TestMemoWaitHonoursDeadline parks the Phase 1–2 computation of the
-// newest snapshot (its leader blocks inside the memo slot until
-// released) and checks the stale/503 contract for the reads queued
-// behind it: a waiter whose deadline expires first gets its last-good
-// response flagged stale, or a 503 when it has none, instead of
-// blocking. The parked computation then fails, which must not be
-// stored: the retried read is byte-identical to an uncontended one.
+// TestMemoWaitHonoursDeadline stalls Phase 3 of the newest snapshot's
+// reads (an injected latency on every shortest-path query) and checks
+// the stale/503 contract for reads whose deadline expires inside it: a
+// read gets its last-good response flagged stale, or a 503 with
+// Retry-After when it has none, instead of blocking. The cancelled
+// reads must store nothing: once the stall heals, the retried reads are
+// byte-identical to uncontended ones. (A read queued behind a parked
+// Phase 1–2 fold is the session package's TestSnapshotFlowsSharedComputation.)
 func TestMemoWaitHonoursDeadline(t *testing.T) {
 	g, ds := testSetup(t)
-	s := New(g, Config{DataNodes: 2})
+	stall := fault.New(fault.Config{Seed: 1, Points: map[fault.Point]fault.Spec{
+		fault.SPQuery: {LatencyProb: 1, Latency: 20 * time.Millisecond},
+	}})
+	stall.SetEnabled(false)
+	// No distance cache, so every Phase 3 read runs shortest paths.
+	s := New(g, Config{DataNodes: 2, CacheEntries: -1, Fault: stall})
 	h := s.Handler()
 	ingest := func(h http.Handler, lo, hi int) {
 		t.Helper()
@@ -123,18 +129,7 @@ func TestMemoWaitHonoursDeadline(t *testing.T) {
 	}
 	ingest(h, 30, len(ds.Trajectories))
 
-	entered, release := make(chan struct{}), make(chan struct{})
-	parked := make(chan error, 1)
-	go func() {
-		_, err := s.Sessions().Default().Current().Flows(context.Background(), func(context.Context) (*neat.FlowSet, error) {
-			close(entered)
-			<-release
-			return nil, context.DeadlineExceeded
-		})
-		parked <- err
-	}()
-	<-entered // the newest snapshot's memo slot now holds a parked computation
-
+	stall.SetEnabled(true)
 	for _, tc := range []struct {
 		path  string
 		code  int
@@ -145,16 +140,13 @@ func TestMemoWaitHonoursDeadline(t *testing.T) {
 		code, resp := read(h, ctx, tc.path)
 		cancel()
 		if d := time.Since(start); d > 5*time.Second {
-			t.Fatalf("GET %s blocked %v behind the parked memo", tc.path, d)
+			t.Fatalf("GET %s blocked %v in the stalled Phase 3", tc.path, d)
 		}
 		if code != tc.code || resp.Stale != tc.stale {
-			t.Fatalf("GET %s behind the parked memo: %d stale=%v, want %d stale=%v", tc.path, code, resp.Stale, tc.code, tc.stale)
+			t.Fatalf("GET %s in the stalled Phase 3: %d stale=%v, want %d stale=%v", tc.path, code, resp.Stale, tc.code, tc.stale)
 		}
 	}
-	close(release)
-	if err := <-parked; err == nil {
-		t.Fatal("parked computation reported success")
-	}
+	stall.SetEnabled(false)
 
 	ref := New(g, Config{DataNodes: 2}).Handler()
 	ingest(ref, 0, 30)
@@ -163,7 +155,7 @@ func TestMemoWaitHonoursDeadline(t *testing.T) {
 		code, got := read(h, context.Background(), path)
 		_, want := read(ref, context.Background(), path)
 		if code != http.StatusOK || got.Stale {
-			t.Fatalf("retry of %s after release: %d stale=%v", path, code, got.Stale)
+			t.Fatalf("retry of %s after the stall: %d stale=%v", path, code, got.Stale)
 		}
 		gb, _ := json.Marshal(got)
 		wb, _ := json.Marshal(want)

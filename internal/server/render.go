@@ -28,7 +28,6 @@ type clusterBody struct {
 	flows        [][]byte
 	clusters     []bodyCluster
 	elapsedMs    float64
-	stale        bool
 }
 
 // bodyCluster is one ClusterDTO with its flows' objects. Nil flows
@@ -119,9 +118,6 @@ func (b *clusterBody) render() ([]byte, error) {
 			}
 		}
 	}
-	if b.stale {
-		size += len(staleField)
-	}
 
 	out := make([]byte, 0, size)
 	out = append(out, keyLevel...)
@@ -155,9 +151,6 @@ func (b *clusterBody) render() ([]byte, error) {
 	}
 	out = append(out, keyElapsed...)
 	out = appendFloat(out, b.elapsedMs)
-	if b.stale {
-		out = append(out, staleField...)
-	}
 	return append(out, '}', '\n'), nil
 }
 

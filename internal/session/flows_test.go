@@ -165,9 +165,9 @@ func TestHealDiscardsKeptSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.withPipeline(ctx, func(*neat.Pipeline) error { s.kept = bogus; return nil }); err != nil {
-		t.Fatal(err)
-	}
+	s.fold <- struct{}{}
+	s.kept = bogus
+	<-s.fold
 
 	inj.SetEnabled(true)
 	if err := ingestErr(s, batch2); !fault.IsInjected(err) {
@@ -254,6 +254,114 @@ func TestFlowsOfHeldSnapshotsDuringIngest(t *testing.T) {
 		held = append(held, s.Current())
 		mu.Unlock()
 		<-reads // let a read finish between ingests while the others run on
+	}
+	close(done)
+	readers.Wait()
+}
+
+// readKey is one (ε, minCard) key of a /v1/clusters read.
+type readKey struct {
+	eps     float64
+	minCard int
+}
+
+// renderRead renders what a read's body carries: the base-cluster
+// count, each flow's route, cardinality and density, and each cluster's
+// flow routes and cardinality.
+func renderRead(baseClusters int, res *neat.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "base=%d\n", baseClusters)
+	flow := func(f *neat.FlowCluster) {
+		fmt.Fprintf(&b, " route=%v c=%d d=%d", f.Route, f.Cardinality(), f.Density())
+	}
+	for _, f := range res.Flows {
+		flow(f)
+		b.WriteByte('\n')
+	}
+	for _, c := range res.Clusters {
+		b.WriteString("cluster")
+		for _, f := range c.Flows {
+			flow(f)
+		}
+		fmt.Fprintf(&b, " c=%d\n", c.Cardinality())
+	}
+	return b.String()
+}
+
+// TestConcurrentReadsOfOneSession has several goroutines read different
+// (ε, minCard) keys of one session as the server does — Flows, then
+// Refine with the batched builder on the session's distance cache —
+// while ingests publish (run under -race -count=10 in CI). Phase 3
+// reads take no session lock, so they overlap each other and the
+// folds. Every read's body must equal the body of a fresh FromFragments
+// run over its snapshot's fragments.
+func TestConcurrentReadsOfOneSession(t *testing.T) {
+	g := testGraph(t, 55)
+	s, err := New("readers", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ds := testDataset(t, g, 60, 55)
+	cfgOf := func(k readKey, batched bool) neat.Config {
+		cfg := neat.Config{
+			Flow:   neat.FlowConfig{Weights: neat.WeightsFlowOnly, MinCard: k.minCard},
+			Refine: neat.RefineConfig{Epsilon: k.eps, UseELB: true, Bounded: true},
+		}
+		if batched {
+			cfg.Refine.Workers, cfg.Refine.Cache = -1, s.Cache()
+		}
+		return cfg
+	}
+	fresh := func(k readKey, sn *Snapshot) string {
+		plan, err := neat.NewPlan(cfgOf(k, false), neat.LevelOpt, neat.FromFragments, neat.Exec{})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		res, err := neat.NewPipeline(g).RunPlan(plan, neat.Input{Fragments: sn.Fragments})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		return renderRead(len(res.BaseClusters), res)
+	}
+
+	ingestDataset(t, s, traj.Dataset{Trajectories: ds.Trajectories[:5]})
+	keys := []readKey{{1500, 2}, {900, 3}, {2500, 1}, {1200, 2}}
+	done, reads := make(chan struct{}), make(chan struct{})
+	var readers sync.WaitGroup
+	for _, k := range keys {
+		readers.Add(1)
+		go func(k readKey) {
+			defer readers.Done()
+			ctx, cfg := context.Background(), cfgOf(k, true)
+			for {
+				sn := s.Current()
+				// No return on a failure: the ingest loop waits for reads.
+				fs, err := s.Flows(ctx, sn, cfg)
+				var res *neat.Result
+				if err == nil {
+					res, err = s.Refine(ctx, fs, cfg, neat.LevelOpt)
+				}
+				if err != nil {
+					t.Errorf("key %v: read of version %d: %v", k, sn.Version, err)
+				} else if got, want := renderRead(fs.BaseClusters, res), fresh(k, sn); got != want {
+					t.Errorf("key %v: version %d read\n%s\nwant\n%s", k, sn.Version, got, want)
+				}
+				select {
+				case reads <- struct{}{}:
+				case <-done:
+					return
+				}
+			}
+		}(k)
+	}
+	for lo := 5; lo < len(ds.Trajectories); lo += 5 {
+		ingestDataset(t, s, traj.Dataset{Trajectories: ds.Trajectories[lo:min(lo+5, len(ds.Trajectories))]})
+		// Let two reads finish between ingests while the others run on.
+		<-reads
+		<-reads
 	}
 	close(done)
 	readers.Wait()

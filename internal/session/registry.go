@@ -3,6 +3,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -328,26 +329,16 @@ func (r *Registry) Abort() {
 	}
 }
 
-// writeGraph persists g atomically at dir/network.csv (write to a
-// temp file, then rename), so a crash mid-create leaves skippable
-// debris, never a torn graph.
+// writeGraph makes dir and persists g at dir/network.csv, both through
+// persist's durable helpers: a crash mid-create leaves skippable debris,
+// never a torn graph, and a create that returned survives a crash.
 func writeGraph(dir string, g *roadnet.Graph) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := persist.MkdirAll(dir); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, graphFile+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := roadnet.Write(tmp, g); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, graphFile))
+	return persist.WriteFileAtomic(filepath.Join(dir, graphFile), func(w io.Writer) error {
+		return roadnet.Write(w, g)
+	})
 }
 
 // readGraph loads a persisted network; os.ErrNotExist passes through

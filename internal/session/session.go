@@ -142,9 +142,11 @@ type IngestStats struct {
 }
 
 // Session is one isolated clustering tenant: a road network, the
-// ingested dataset, a single-flight clustering pipeline, a distance
-// cache, a durability namespace, and degraded-mode state. All methods
-// are safe for concurrent use; ingest is serialized internally.
+// ingested dataset, a clustering pipeline with the base-cluster set it
+// folds forward, a distance cache, a durability namespace, and
+// degraded-mode state. All methods are safe for concurrent use: ingest
+// is serialized internally, each snapshot's Phase 1–2 fold runs under
+// the session's fold lock, and Phase 3 reads run concurrently.
 type Session struct {
 	name string
 	g    *roadnet.Graph
@@ -173,14 +175,15 @@ type Session struct {
 	// partitioners are not concurrency-safe.
 	nodes chan *traj.Partitioner
 
-	// The session's single-flight clustering pipeline (a Pipeline is
-	// not safe for concurrent use; the chan lets a waiter abandon the
-	// wait on context expiry).
-	pipeSem  chan struct{}
+	// pipeline runs every fold and read; it holds no per-run state.
 	pipeline *neat.Pipeline
-	// kept is the base-cluster set the pipeline built last, from the
+
+	// fold is the fold lock, one deep: a channel, so a waiter leaves
+	// on its context. It guards the three fields below it and nothing
+	// else. kept is the base-cluster set the last fold built, from the
 	// first keptFrags fragments of a snapshot of epoch keptEpoch (see
-	// Flows). Only the holder of pipeSem reads or replaces it.
+	// Flows).
+	fold      chan struct{}
 	kept      *neat.ClusterSet
 	keptEpoch uint64
 	keptFrags int
@@ -223,7 +226,7 @@ func New(name string, g *roadnet.Graph, cfg Config) (*Session, error) {
 		seenIDs:  make(map[traj.ID]struct{}),
 		lastGood: make(map[string]any),
 		nodes:    make(chan *traj.Partitioner, cfg.DataNodes),
-		pipeSem:  make(chan struct{}, 1),
+		fold:     make(chan struct{}, 1),
 	}
 	s.snap.Store(&Snapshot{})
 	if cfg.MaxInflight > 0 {
@@ -325,60 +328,55 @@ func (s *Session) Guard() *guard.Guard { return s.guard }
 func (s *Session) Quarantined() bool { return s.guard.Breaker().Quarantined() }
 
 // Flows returns the Phase 1–2 product of snapshot sn under cfg (whose
-// minCard is ignored), computing it on the session's single-flight
-// pipeline at most once per snapshot (see Snapshot.Flows). Publication
-// of a new snapshot is the only invalidation.
+// minCard is ignored), folding it at most once per snapshot: a read
+// loads the snapshot's memo slot, and on a miss takes the fold lock,
+// loads again, folds and stores. Only a successful fold is stored, so
+// an error, a cancellation or a panic leaves the slot empty for the
+// next read. A read waiting for the lock leaves with its context's
+// error. Publication of a new snapshot is the only invalidation. The
+// slot is unkeyed, so every caller must pass the same flow
+// configuration (the server passes one).
 //
-// The computation folds into the kept base-cluster set only the
-// fragments sn added since that set was built, then keeps the result.
-// Within an epoch every published snapshot's fragments extend the
-// previous one's, so the kept set is folded forward when it was built
-// from this epoch and from no more fragments than sn holds; otherwise
-// (sn is older than the kept set, or a heal rebuilt the fragments
-// since) the fold starts from the empty set.
+// The fold adds to the kept base-cluster set only the fragments sn
+// added since that set was built, then keeps the result. Within an
+// epoch every published snapshot's fragments extend the previous
+// one's, so the kept set is folded forward when it was built from this
+// epoch and from no more fragments than sn holds; otherwise (sn is
+// older than the kept set, or a heal rebuilt the fragments since) the
+// fold starts from the empty set.
 func (s *Session) Flows(ctx context.Context, sn *Snapshot, cfg neat.Config) (*neat.FlowSet, error) {
-	return sn.Flows(ctx, func(ctx context.Context) (*neat.FlowSet, error) {
-		var fs *neat.FlowSet
-		err := s.withPipeline(ctx, func(p *neat.Pipeline) (err error) {
-			base, frags := s.kept, sn.Fragments
-			if s.keptEpoch == sn.epoch && s.keptFrags <= len(frags) {
-				frags = frags[s.keptFrags:]
-			} else {
-				base = nil
-			}
-			var next *neat.ClusterSet
-			if fs, next, err = p.BuildFlowSet(ctx, base, frags, cfg); err == nil {
-				s.kept, s.keptEpoch, s.keptFrags = next, sn.epoch, len(sn.Fragments)
-			}
-			return err
-		})
-		return fs, err
-	})
-}
-
-// Refine answers one read from a flow set on the session's
-// single-flight pipeline: the minCard filter and, at opt level, Phase 3
-// (see neat.Pipeline.RunFlowSet).
-func (s *Session) Refine(ctx context.Context, fs *neat.FlowSet, cfg neat.Config, level neat.Level) (*neat.Result, error) {
-	var res *neat.Result
-	err := s.withPipeline(ctx, func(p *neat.Pipeline) (err error) {
-		res, err = p.RunFlowSet(ctx, fs, cfg, level)
-		return err
-	})
-	return res, err
-}
-
-// withPipeline runs fn holding the session's pipeline. Waiting for it
-// observes ctx, so a request whose deadline expires while queued
-// degrades instead of blocking.
-func (s *Session) withPipeline(ctx context.Context, fn func(*neat.Pipeline) error) error {
-	select {
-	case s.pipeSem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
+	if fs := sn.flows.Load(); fs != nil {
+		return fs, nil
 	}
-	defer func() { <-s.pipeSem }()
-	return fn(s.pipeline)
+	select {
+	case s.fold <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.fold }()
+	if fs := sn.flows.Load(); fs != nil {
+		return fs, nil
+	}
+	base, frags := s.kept, sn.Fragments
+	if s.keptEpoch == sn.epoch && s.keptFrags <= len(frags) {
+		frags = frags[s.keptFrags:]
+	} else {
+		base = nil
+	}
+	fs, next, err := s.pipeline.BuildFlowSet(ctx, base, frags, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.kept, s.keptEpoch, s.keptFrags = next, sn.epoch, len(sn.Fragments)
+	sn.flows.Store(fs)
+	return fs, nil
+}
+
+// Refine answers one read from a flow set: the minCard filter and, at
+// opt level, Phase 3 (see neat.Pipeline.RunFlowSet). It takes no
+// session lock, so reads of one session run concurrently.
+func (s *Session) Refine(ctx context.Context, fs *neat.FlowSet, cfg neat.Config, level neat.Level) (*neat.Result, error) {
+	return s.pipeline.RunFlowSet(ctx, fs, cfg, level)
 }
 
 // Ingest commits one batch through the session's envelope: ids[i]
@@ -605,10 +603,10 @@ func (s *Session) encode() []byte {
 // wholesale, and because every acknowledged batch is in the log (and
 // only acknowledged batches are), the rebuilt state is byte-identical
 // to a session that never faulted. Each rebuild starts a new epoch, so
-// the pipeline's kept base-cluster set, built from the discarded
-// fragments, is never folded forward. A failed rebuild restores the
-// pre-heal state rather than losing acknowledged data, and leaves the
-// error in the health block.
+// the kept base-cluster set, built from the discarded fragments, is
+// never folded forward. A failed rebuild restores the pre-heal state
+// rather than losing acknowledged data, and leaves the error in the
+// health block.
 func (s *Session) heal() {
 	oldSeen, oldFrags, oldTrajs, oldVersion := s.seenIDs, s.fragments, s.trajs, s.version
 	s.seenIDs = make(map[traj.ID]struct{})

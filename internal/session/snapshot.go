@@ -1,7 +1,6 @@
 package session
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -29,7 +28,9 @@ const maxResults = 32
 // objects, memoized clustering responses). A snapshot is reachable
 // only through Session.Current's atomic pointer, so readers hold it
 // without any lock and concurrent ingest can never mutate what they
-// see — a new ingest publishes a new Snapshot instead.
+// see — a new ingest publishes a new Snapshot instead. The flow set is
+// a memo slot that Session.Flows fills once, under the session's fold
+// lock, after a fold succeeds.
 //
 // The Fragments and Trajs slices are three-index views into the
 // session's live backing arrays: ingest, serialized by the session's
@@ -56,10 +57,10 @@ type Snapshot struct {
 	idx     *trajindex.Index
 	idxErr  error
 
-	// flows is the snapshot's Phase 1–2 memo slot: nil, an in-flight
-	// computation, or a completed one. Only successes stay in the slot.
-	flowsMu sync.Mutex
-	flows   *flowsCall
+	// flows is the snapshot's Phase 1–2 memo slot: nil until a fold
+	// succeeds. Only the holder of the session's fold lock stores it
+	// (see Session.Flows).
+	flows atomic.Pointer[neat.FlowSet]
 
 	// objs keeps each flow's encoded response object, built at most
 	// once per snapshot by the first read that renders the flow (see
@@ -90,70 +91,6 @@ func (sn *Snapshot) Index(g *roadnet.Graph) (*trajindex.Index, error) {
 		sn.idx, sn.idxErr = trajindex.New(traj.Dataset{Name: "server", Trajectories: sn.Trajs}, cell)
 	})
 	return sn.idx, sn.idxErr
-}
-
-// flowsCall is one computation of a snapshot's flow set; done closes
-// when fs and err are final.
-type flowsCall struct {
-	done chan struct{}
-	fs   *neat.FlowSet
-	err  error
-}
-
-// Flows returns the snapshot's Phase 1–2 product, calling compute at
-// most once per success. Concurrent callers share one in-flight
-// computation, run by the caller that found the slot empty under its
-// own context; the others wait on their own ctx and give up with its
-// error when it expires first. A failed or cancelled computation is
-// never kept: its waiters retry, and the next caller computes afresh.
-// The slot is unkeyed, so every caller on a snapshot must pass the same
-// flow configuration (a session serves exactly one).
-func (sn *Snapshot) Flows(ctx context.Context, compute func(context.Context) (*neat.FlowSet, error)) (*neat.FlowSet, error) {
-	for {
-		sn.flowsMu.Lock()
-		c := sn.flows
-		lead := c == nil
-		if lead {
-			c = &flowsCall{done: make(chan struct{})}
-			sn.flows = c
-		}
-		sn.flowsMu.Unlock()
-		if lead {
-			return sn.computeFlows(ctx, c, compute)
-		}
-		select {
-		case <-c.done:
-			if c.err == nil {
-				return c.fs, nil
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// errFlowsPanicked stands in for the error of a computation that
-// panicked, so its waiters retry instead of taking a nil flow set.
-var errFlowsPanicked = errors.New("session: flow set computation panicked")
-
-// computeFlows runs the leader's computation into c. Whatever ends it —
-// success, error, cancellation or a panic — closes c.done; anything but
-// success also frees the slot for the next caller.
-func (sn *Snapshot) computeFlows(ctx context.Context, c *flowsCall, compute func(context.Context) (*neat.FlowSet, error)) (*neat.FlowSet, error) {
-	c.err = errFlowsPanicked
-	defer func() {
-		if c.err != nil {
-			sn.flowsMu.Lock()
-			sn.flows = nil
-			sn.flowsMu.Unlock()
-		}
-		close(c.done)
-	}()
-	c.fs, c.err = compute(ctx)
-	return c.fs, c.err
 }
 
 // flowObject is one flow's encoded object; once runs its encode.

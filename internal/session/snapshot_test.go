@@ -4,33 +4,60 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/neat"
+	"repro/internal/obs"
 )
 
-// TestSnapshotFlowsSharedComputation parks the leader's computation and
-// checks that concurrent callers wait for it and share its result, that
-// a caller whose deadline expires first gives up on its own, and that
-// only one computation ran.
-func TestSnapshotFlowsSharedComputation(t *testing.T) {
-	sn := &Snapshot{}
-	want := &neat.FlowSet{BaseClusters: 7}
-	var calls atomic.Int32
-	entered, release := make(chan struct{}), make(chan struct{})
-	compute := func(context.Context) (*neat.FlowSet, error) {
-		if calls.Add(1) == 1 {
-			close(entered)
-			<-release
-		}
-		return want, nil
+// foldCtx is a context that never reports Done and whose Err runs
+// check, so a read carrying it takes the fold lock and the fold's
+// context checks inside BuildFlowSet run check.
+type foldCtx struct {
+	context.Context
+	check func() error
+}
+
+func (c foldCtx) Err() error { return c.check() }
+
+// parkedFold returns a foldCtx whose first check closes entered and
+// waits for release; every check then reports err.
+func parkedFold(err error) (ctx foldCtx, entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	return foldCtx{context.Background(), func() error {
+		once.Do(func() { close(entered); <-release })
+		return err
+	}}, entered, release
+}
+
+// foldSession is a session with an ingested dataset and a registry
+// whose phase 1 histogram counts the successful folds.
+func foldSession(t *testing.T, seed int64) (*Session, func() int64) {
+	t.Helper()
+	g := testGraph(t, seed)
+	reg := obs.NewRegistry()
+	s, err := New("folds", g, Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bg := context.Background()
+	t.Cleanup(func() { s.Close() })
+	ingestDataset(t, s, testDataset(t, g, 20, seed))
+	return s, reg.Histogram("neat_phase_seconds", nil, obs.L("phase", "1")).Count
+}
+
+// TestSnapshotFlowsSharedComputation parks a fold inside
+// BuildFlowSet and checks that concurrent reads of the snapshot wait
+// for it and share its flow set, that a read whose deadline expires
+// first leaves with its own error promptly, and that one fold ran.
+func TestSnapshotFlowsSharedComputation(t *testing.T) {
+	s, folds := foldSession(t, 52)
+	sn := s.Current()
+	park, entered, release := parkedFold(nil)
 	leaderDone := make(chan *neat.FlowSet, 1)
 	go func() {
-		fs, err := sn.Flows(bg, compute)
+		fs, err := s.Flows(park, sn, flowsCfg)
 		if err != nil {
 			t.Error(err)
 		}
@@ -38,10 +65,11 @@ func TestSnapshotFlowsSharedComputation(t *testing.T) {
 	}()
 	<-entered
 
+	bg := context.Background()
 	short, cancel := context.WithTimeout(bg, 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := sn.Flows(short, compute); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.Flows(short, sn, flowsCfg); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("waiter past its deadline: err %v, want deadline exceeded", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -54,7 +82,7 @@ func TestSnapshotFlowsSharedComputation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fs, err := sn.Flows(bg, compute)
+			fs, err := s.Flows(bg, sn, flowsCfg)
 			if err != nil {
 				t.Error(err)
 			}
@@ -63,82 +91,106 @@ func TestSnapshotFlowsSharedComputation(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if fs := <-leaderDone; fs != want {
-		t.Fatal("leader returned a different flow set")
-	}
+	want := <-leaderDone
 	for i, fs := range got {
 		if fs != want {
 			t.Fatalf("waiter %d got a different flow set", i)
 		}
 	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("%d computations, want 1", n)
+	if n := folds(); n != 1 {
+		t.Fatalf("%d folds, want 1", n)
+	}
+	if got := renderFlowSet(want); got != freshFlows(t, s, sn) {
+		t.Fatalf("shared flow set diverges from a fresh plan:\n%s", got)
 	}
 }
 
-// TestSnapshotFlowsNeverStoresFailure checks that an error, a
-// cancellation and a panic all leave the slot empty, and that the first
-// success is kept.
+// TestSnapshotFlowsNeverStoresFailure checks that a fold ending in an
+// error, a cancellation or a panic stores nothing and frees the fold
+// lock, and that the next read folds again and is kept.
 func TestSnapshotFlowsNeverStoresFailure(t *testing.T) {
-	sn := &Snapshot{}
-	ctx := context.Background()
-	var calls int
-	fail := func(err error) func(context.Context) (*neat.FlowSet, error) {
-		return func(context.Context) (*neat.FlowSet, error) { calls++; return nil, err }
+	s, folds := foldSession(t, 53)
+	sn := s.Current()
+	empty := func(what string) {
+		t.Helper()
+		if sn.flows.Load() != nil {
+			t.Fatalf("%s: a flow set was stored", what)
+		}
+		select {
+		case s.fold <- struct{}{}:
+			<-s.fold
+		default:
+			t.Fatalf("%s: the fold lock is still held", what)
+		}
 	}
-	if _, err := sn.Flows(ctx, fail(errors.New("boom"))); err == nil {
-		t.Fatal("failed computation reported success")
+	boom := errors.New("boom")
+	if _, err := s.Flows(foldCtx{context.Background(), func() error { return boom }}, sn, flowsCfg); err != boom {
+		t.Fatalf("failed fold: err %v", err)
 	}
-	if _, err := sn.Flows(ctx, fail(context.Canceled)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled computation: err %v", err)
+	empty("error")
+	if _, err := s.Flows(foldCtx{context.Background(), func() error { return context.Canceled }}, sn, flowsCfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fold: err %v", err)
 	}
+	empty("cancellation")
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("panic did not propagate to the leader")
+				t.Fatal("the fold's panic did not reach its reader")
 			}
 		}()
-		sn.Flows(ctx, func(context.Context) (*neat.FlowSet, error) { calls++; panic("boom") })
+		s.Flows(foldCtx{context.Background(), func() error { panic("boom") }}, sn, flowsCfg)
 	}()
-	want := &neat.FlowSet{}
-	ok := func(context.Context) (*neat.FlowSet, error) { calls++; return want, nil }
-	for i := 0; i < 2; i++ {
-		fs, err := sn.Flows(ctx, ok)
-		if err != nil || fs != want {
-			t.Fatalf("call %d: %v %v", i, fs, err)
-		}
+	empty("panic")
+	if n := folds(); n != 0 {
+		t.Fatalf("%d folds recorded by failed reads", n)
 	}
-	if calls != 4 {
-		t.Fatalf("%d computations, want 4 (three failures retried, one success kept)", calls)
+
+	ctx := context.Background()
+	first, err := s.Flows(ctx, sn, flowsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Flows(ctx, sn, flowsCfg)
+	if err != nil || again != first {
+		t.Fatalf("second read: %p %v, want the kept %p", again, err, first)
+	}
+	if n := folds(); n != 1 {
+		t.Fatalf("%d folds, want 1 (the success, kept)", n)
 	}
 }
 
-// TestSnapshotFlowsWaiterRetriesAfterLeaderFails parks a leader that
-// will fail and checks that its waiter, whose own context is still
-// live, computes afresh instead of inheriting the failure.
+// TestSnapshotFlowsWaiterRetriesAfterLeaderFails parks a fold that
+// will fail and checks that a read waiting on the fold lock, whose own
+// context is still live, folds afresh instead of inheriting the
+// failure.
 func TestSnapshotFlowsWaiterRetriesAfterLeaderFails(t *testing.T) {
-	sn := &Snapshot{}
-	ctx := context.Background()
-	entered, release := make(chan struct{}), make(chan struct{})
-	go sn.Flows(ctx, func(context.Context) (*neat.FlowSet, error) {
-		close(entered)
-		<-release
-		return nil, context.DeadlineExceeded
-	})
+	s, folds := foldSession(t, 54)
+	sn := s.Current()
+	park, entered, release := parkedFold(context.DeadlineExceeded)
+	parked := make(chan error, 1)
+	go func() {
+		_, err := s.Flows(park, sn, flowsCfg)
+		parked <- err
+	}()
 	<-entered
-	want := &neat.FlowSet{}
 	done := make(chan error, 1)
 	go func() {
-		fs, err := sn.Flows(ctx, func(context.Context) (*neat.FlowSet, error) { return want, nil })
-		if err == nil && fs != want {
-			err = errors.New("waiter got a different flow set")
+		fs, err := s.Flows(context.Background(), sn, flowsCfg)
+		if err == nil && renderFlowSet(fs) != freshFlows(t, s, sn) {
+			err = errors.New("waiter's flow set diverges from a fresh plan")
 		}
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter join the parked call
+	time.Sleep(10 * time.Millisecond) // let the waiter queue on the fold lock
 	close(release)
+	if err := <-parked; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("parked fold: err %v, want deadline exceeded", err)
+	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if n := folds(); n != 1 {
+		t.Fatalf("%d folds, want 1 (the waiter's)", n)
 	}
 }
 
