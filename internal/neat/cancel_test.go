@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,13 +47,67 @@ func waitForGoroutines(t *testing.T, base, slack int) {
 	}
 }
 
+// countdownCtx is a context whose Err turns context.Canceled after it
+// has answered live a fixed number of times, so a test can land a
+// cancellation at an exact check inside a run.
+type countdownCtx struct {
+	context.Context
+	live atomic.Int64
+}
+
+func newCountdownCtx(live int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.live.Store(live)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.live.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestRunPlanCtxCancellation cancels a plan mid-Phase-3 (injected
 // shortest-path latency guarantees the deadline fires inside the
-// ε-graph build) for both builders, then checks the three
-// robustness invariants: the ctx error is reported, no goroutines
-// leak, and a healed re-run is byte-identical to a never-cancelled
-// reference run.
+// ε-graph build) for both builders, and a FromDataset plan inside
+// Phase 1, then checks the three robustness invariants: the ctx error
+// is reported, no goroutines leak, and a healed re-run is
+// byte-identical to a never-cancelled reference run.
 func TestRunPlanCtxCancellation(t *testing.T) {
+	t.Run("phase1", func(t *testing.T) {
+		g, ds := proptest.SimScenario(t, 60)
+		cfg := DefaultConfig()
+		cfg.Refine.Epsilon = 2000
+		plan, err := NewPlan(cfg, LevelOpt, FromDataset, Exec{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPipeline(g)
+		ref, err := p.RunPlan(plan, Input{Dataset: ds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderResult(ref)
+
+		// One live check before the partition step, then ten claims:
+		// the partition workers see the cancellation mid-dataset.
+		before := runtime.NumGoroutine()
+		_, err = p.RunPlanCtx(newCountdownCtx(1+10), plan, Input{Dataset: ds})
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "phase 1") {
+			t.Fatalf("phase-1 cancel: err = %v, want context.Canceled from phase 1", err)
+		}
+		waitForGoroutines(t, before, 0)
+
+		again, err := p.RunPlanCtx(context.Background(), plan, Input{Dataset: ds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderResult(again); got != want {
+			t.Fatalf("post-cancel re-run diverged:\n got %s\nwant %s", got, want)
+		}
+	})
+
 	rng := rand.New(rand.NewSource(97))
 	g, frags := proptest.RandomScenario(t, rng)
 	for tries := 0; tries < 40; tries++ {

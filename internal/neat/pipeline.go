@@ -1,12 +1,12 @@
 package neat
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/roadnet"
-	"repro/internal/shortest"
 	"repro/internal/traj"
 )
 
@@ -113,19 +113,22 @@ type Result struct {
 	Trace *obs.Span
 }
 
-// Pipeline runs NEAT over a fixed road network. It keeps only the
-// graph, its metrics handles and the trace flag — every run's state
-// lives in the run — so create one pipeline per graph and reuse it
-// across datasets. It is safe for concurrent use once Instrument and
-// EnableTracing have run.
+// Pipeline runs NEAT over a fixed road network. It keeps the graph,
+// the Phase 1 partitioner pool, its metrics handles and the trace flag
+// — every run's state lives in the run — so create one pipeline per
+// graph and reuse it across datasets. It is safe for concurrent use
+// once Instrument and EnableTracing have run.
 type Pipeline struct {
 	g     *roadnet.Graph
+	parts *traj.PartitionPool
 	trace bool
 	m     pipelineMetrics
 }
 
 // NewPipeline creates a Pipeline over g.
-func NewPipeline(g *roadnet.Graph) *Pipeline { return &Pipeline{g: g} }
+func NewPipeline(g *roadnet.Graph) *Pipeline {
+	return &Pipeline{g: g, parts: traj.NewPartitionPool(g)}
+}
 
 // Graph returns the pipeline's road network.
 func (p *Pipeline) Graph() *roadnet.Graph { return p.g }
@@ -302,9 +305,21 @@ func AnnotateRefineSpan(sp *obs.Span, cfg RefineConfig, stats RefineStats, clust
 	annotateRefine(sp, cfg, stats, clusters)
 }
 
-// Partition runs Phase 1's trajectory partitioning alone, serially on
-// a partitioner of its own, for callers that manage fragments
-// themselves (tests and the root paper benchmarks).
+// Partition runs Phase 1's trajectory partitioning alone, on one
+// worker, for callers that manage fragments themselves (tests and the
+// root paper benchmarks).
 func (p *Pipeline) Partition(ds traj.Dataset) ([]traj.TFragment, error) {
-	return traj.NewPartitioner(p.g, shortest.New(p.g, nil)).PartitionDataset(ds)
+	frags, _, err := p.PartitionEach(context.Background(), 1, len(ds.Trajectories), datasetSource(ds))
+	return frags, err
+}
+
+// PartitionEach partitions the n trajectories source yields by index
+// on the pipeline's partitioner pool (traj.PartitionPool.Partition):
+// a plan's partition step, and a session's ingest on its data nodes.
+func (p *Pipeline) PartitionEach(ctx context.Context, workers, n int, source func(int) (traj.Trajectory, error)) ([]traj.TFragment, []traj.Trajectory, error) {
+	return p.parts.Partition(ctx, workers, n, source)
+}
+
+func datasetSource(ds traj.Dataset) func(int) (traj.Trajectory, error) {
+	return func(i int) (traj.Trajectory, error) { return ds.Trajectories[i], nil }
 }

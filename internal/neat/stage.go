@@ -93,31 +93,23 @@ func (p *Pipeline) RunPlan(plan *Plan, in Input) (*Result, error) {
 
 // RunPlanCtx is RunPlan with cooperative cancellation. The context is
 // checked before each step — partition, base_clusters, flow_merge,
-// refine — and threaded into Phase 3, whose builders poll it
-// row-by-row (expansion-by-expansion on the batched path); the Phase
-// 1/2 steps are memory-bound and finish or fail atomically. On
-// cancellation the trace's root names the step that did not start, the
-// partial result is discarded and the ctx error is returned — an
-// identical re-run with a live context produces output byte-identical
-// to a never-cancelled run.
+// refine — and threaded into Phase 1, whose workers check it before
+// each trajectory, and into Phase 3, whose builders poll it
+// row-by-row (expansion-by-expansion on the batched path); the
+// base_clusters and flow_merge steps are memory-bound and finish or
+// fail atomically. On cancellation the partial result is discarded and
+// the ctx error is returned — an identical re-run with a live context
+// produces output byte-identical to a never-cancelled run.
 func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Result, error) {
 	res := &Result{Level: plan.level}
 	res.Trace = p.newRunSpan("neat.run", plan.level)
-	cancelled := func(step string) error {
-		err := ctx.Err()
-		if err != nil {
-			res.Trace.Annotate("cancelled", step)
-			res.Trace.End()
-		}
-		return err
-	}
 
 	// Phase 1, step 1: split every trajectory into its t-fragment
 	// sequence, repairing sampling gaps with shortest-path routes. The
 	// fragment list equals a serial Partitioner's for any worker count.
 	frags := in.Fragments
 	if plan.input == FromDataset {
-		if err := cancelled("partition"); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		sp := res.Trace.StartChild("phase1.partition")
@@ -130,7 +122,7 @@ func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Resul
 		}
 		start := time.Now()
 		var err error
-		if frags, err = traj.PartitionDatasetParallel(p.g, in.Dataset, workers); err != nil {
+		if frags, _, err = p.PartitionEach(ctx, workers, len(in.Dataset.Trajectories), datasetSource(in.Dataset)); err != nil {
 			return nil, fmt.Errorf("neat: phase 1 partitioning: %w", err)
 		}
 		res.Timing.Phase1 += time.Since(start)
@@ -140,7 +132,7 @@ func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Resul
 
 	// Phase 1, step 2: group t-fragments by road segment into base
 	// clusters ordered by density desc, segment id asc.
-	if err := cancelled("base_clusters"); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if plan.input == FromFragments {
@@ -160,7 +152,7 @@ func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Resul
 	// Phase 2: merge base clusters into flow clusters by the greedy
 	// dense-core expansion of §III-B.
 	if plan.level >= LevelFlow {
-		if err := cancelled("flow_merge"); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		sp := res.Trace.StartChild("phase2.flow_clusters")
@@ -180,7 +172,7 @@ func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Resul
 	}
 
 	if plan.level >= LevelOpt {
-		if err := cancelled("refine"); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if err := p.refine(ctx, res, plan.cfg.Refine, nil, 0); err != nil {

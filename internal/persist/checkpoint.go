@@ -32,10 +32,10 @@ const (
 	ckptPrefix  = "ckpt-"
 	ckptVersion = 1
 
-	// defaultKeepCheckpoints retains the newest N checkpoints so one
-	// corrupt newest file (torn disk, cosmic ray) falls back instead of
+	// keepCheckpoints retains the newest N checkpoints so one corrupt
+	// newest file (torn disk, cosmic ray) falls back instead of
 	// cold-starting.
-	defaultKeepCheckpoints = 2
+	keepCheckpoints = 2
 )
 
 func ckptName(seq uint64) string {

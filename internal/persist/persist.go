@@ -47,15 +47,18 @@ const (
 	// FsyncAlways syncs after every append: an acknowledged ingest is
 	// on disk. The safest and slowest policy, and the default.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a background ticker (Options.FsyncInterval,
-	// default 100ms) and on Close; a crash loses at most one interval
-	// of acknowledged batches, but recovery still sees a prefix of the
+	// FsyncInterval syncs on a background ticker (every fsyncPeriod,
+	// 100ms) and on Close; a crash loses at most one interval of
+	// acknowledged batches, but recovery still sees a prefix of the
 	// acknowledged sequence — never a gap.
 	FsyncInterval
 	// FsyncOff never syncs explicitly (the OS flushes at its leisure);
 	// for tests and bulk loads.
 	FsyncOff
 )
+
+// fsyncPeriod is the FsyncInterval policy's ticker period.
+const fsyncPeriod = 100 * time.Millisecond
 
 // ParseFsyncPolicy maps the CLI spellings (always, interval, off) to a
 // policy.
@@ -90,8 +93,6 @@ type Options struct {
 	Dir string
 	// Fsync is the WAL flush policy; the zero value is FsyncAlways.
 	Fsync FsyncPolicy
-	// FsyncInterval is the FsyncInterval ticker period; 0 means 100ms.
-	FsyncInterval time.Duration
 	// SegmentBytes rotates the active WAL segment once it reaches this
 	// size; 0 means ~4 MiB.
 	SegmentBytes int64
@@ -99,8 +100,6 @@ type Options struct {
 	// cadence internal/commit keeps); 0 means 8, negative disables
 	// periodic checkpoints (one is still written on a clean Close).
 	CheckpointEvery int
-	// KeepCheckpoints retains the newest N checkpoint files; 0 means 2.
-	KeepCheckpoints int
 	// Obs is the metrics registry for the neat_wal_* and
 	// neat_checkpoint_* series; nil disables instrumentation.
 	Obs *obs.Registry
@@ -113,17 +112,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 8
-	}
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = defaultKeepCheckpoints
 	}
 	return o
 }
@@ -449,7 +442,7 @@ func (s *Store) fsyncLocked() error {
 }
 
 func (s *Store) syncLoop() {
-	t := time.NewTicker(s.opts.FsyncInterval)
+	t := time.NewTicker(fsyncPeriod)
 	defer t.Stop()
 	defer close(s.syncDone)
 	for {
@@ -478,7 +471,7 @@ func (s *Store) Sync() error {
 }
 
 // WriteCheckpoint atomically persists a checkpoint covering records
-// [0, seq), prunes old checkpoint files beyond KeepCheckpoints, and
+// [0, seq), prunes all but the newest keepCheckpoints files, and
 // compacts WAL segments every record of which the checkpoint covers.
 // Failure is non-destructive: the previous checkpoint and the whole
 // log remain.
@@ -515,7 +508,7 @@ func (s *Store) pruneCheckpointsLocked() {
 		return
 	}
 	for i, ci := range cks {
-		if i >= s.opts.KeepCheckpoints {
+		if i >= keepCheckpoints {
 			_ = os.Remove(ci.Path)
 		}
 	}

@@ -236,7 +236,7 @@ func TestCorruptSealedSegmentRejected(t *testing.T) {
 
 func TestCheckpointWriteLoadPruneFallback(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Fsync: FsyncOff, KeepCheckpoints: 2}
+	opts := Options{Dir: dir, Fsync: FsyncOff}
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +254,8 @@ func TestCheckpointWriteLoadPruneFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Checkpoints) != 2 {
-		t.Fatalf("prune kept %d checkpoints, want 2", len(rep.Checkpoints))
+	if len(rep.Checkpoints) != keepCheckpoints {
+		t.Fatalf("prune kept %d checkpoints, want %d", len(rep.Checkpoints), keepCheckpoints)
 	}
 
 	s2, err := Open(opts)
@@ -297,21 +297,15 @@ func TestCheckpointWriteLoadPruneFallback(t *testing.T) {
 	}
 }
 
-// writeCheckpoints opens a store in dir, writes checkpoints at seqs 1..n
-// and closes it.
+// writeCheckpoints writes checkpoint files at seqs 1..n into dir,
+// bypassing a store, whose prune would keep only the newest
+// keepCheckpoints.
 func writeCheckpoints(t *testing.T, dir string, n uint64) {
 	t.Helper()
-	s, err := Open(Options{Dir: dir, Fsync: FsyncOff, KeepCheckpoints: int(n)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for seq := uint64(1); seq <= n; seq++ {
-		if err := s.WriteCheckpoint(seq, EncodeServerState(ServerState{Batches: seq})); err != nil {
+		if err := writeCheckpointFile(dir, seq, EncodeServerState(ServerState{Batches: seq})); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

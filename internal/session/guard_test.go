@@ -68,8 +68,10 @@ func TestIngestPanicContainedAndRolledBack(t *testing.T) {
 }
 
 // TestPreprocessPanicContained pins the data-node worker containment:
-// a convert callback that panics fails only its own batch, as a typed
-// error, with the session intact.
+// a convert callback that panics on a worker goroutine fails only its
+// own batch, as a typed error the guard counts, with the session
+// intact. The pool raises the panic again on the ingest's goroutine,
+// and the commit envelope contains it like any other ingest panic.
 func TestPreprocessPanicContained(t *testing.T) {
 	g := testGraph(t, 13)
 	s, err := New("workers", g, Config{})
@@ -91,6 +93,12 @@ func TestPreprocessPanicContained(t *testing.T) {
 	var pe *guard.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("worker panic surfaced as %v, want *guard.PanicError", err)
+	}
+	if pe.Value != "hostile convert" {
+		t.Fatalf("PanicError carries %v, want the convert's panic value", pe.Value)
+	}
+	if got := s.Guard().Snapshot().Panics; got != 1 {
+		t.Fatalf("guard counted %d panics, want 1", got)
 	}
 	if v := s.Current().Version; v != 0 {
 		t.Fatalf("version %d after failed batch, want 0", v)

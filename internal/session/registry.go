@@ -59,12 +59,10 @@ type Options struct {
 	// budget, negative disables caches entirely.
 	CacheEntries int
 	// MaxSessions caps live sessions, the default included. Zero
-	// selects 16.
+	// selects 16. It also caps how many sessions ever get their own
+	// metric label: later ones, churned tenants included, aggregate
+	// into session="other" (see obs.LabelCap).
 	MaxSessions int
-	// LabelLimit caps how many sessions get their own metric label
-	// before overflow aggregates into session="other" (see
-	// obs.LabelCap). Zero selects MaxSessions.
-	LabelLimit int
 	// Persist makes sessions durable: Dir is the data-directory root —
 	// the default session recovers from the root itself, named sessions
 	// from sessions/<name> beneath it, and Open recovers every
@@ -99,12 +97,9 @@ func NewRegistry(opts Options) (*Registry, error) {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = 16
 	}
-	if opts.LabelLimit <= 0 {
-		opts.LabelLimit = opts.MaxSessions
-	}
 	r := &Registry{
 		opts:     opts,
-		labels:   obs.NewLabelCap("session", opts.LabelLimit),
+		labels:   obs.NewLabelCap("session", opts.MaxSessions),
 		sessions: make(map[string]*Session),
 	}
 	if opts.CacheEntries >= 0 {

@@ -178,7 +178,7 @@ func TestRegistryCreateValidation(t *testing.T) {
 }
 
 // TestRegistryLabelCapOverflow pins the metrics-cardinality guard at
-// the registry level: once LabelLimit distinct sessions have claimed
+// the registry level: once MaxSessions distinct sessions have claimed
 // their own label, later sessions record into session="other" — churn
 // (remove + create) cannot grow the series space.
 func TestRegistryLabelCapOverflow(t *testing.T) {
@@ -187,8 +187,7 @@ func TestRegistryLabelCapOverflow(t *testing.T) {
 	r, err := NewRegistry(Options{
 		Graph:       g,
 		Session:     Config{Obs: reg},
-		MaxSessions: 3,
-		LabelLimit:  3, // default, s1, s2 admitted; churned tenants overflow
+		MaxSessions: 3, // default, s1, s2 labelled; churned tenants overflow
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,19 +1,18 @@
 // Package session implements the multi-tenant core of the NEAT
 // service: a registry of isolated clustering sessions, each owning its
-// own road network, preprocessing pool, clustering pipeline, distance
-// cache, durability namespace, and robustness state. Ingest is
-// serialized per session and fully concurrent across sessions; reads
-// never touch the ingest lock at all — every committed ingest
-// publishes an immutable Snapshot through an atomic pointer, so query
-// handlers stay wait-free even while another session replays its WAL
-// or rides out a fault storm.
+// own road network, clustering pipeline (whose partitioner pool serves
+// its preprocessing data nodes), distance cache, durability namespace,
+// and robustness state. Ingest is serialized per session and fully
+// concurrent across sessions; reads never touch the ingest lock at all
+// — every committed ingest publishes an immutable Snapshot through an
+// atomic pointer, so query handlers stay wait-free even while another
+// session replays its WAL or rides out a fault storm.
 package session
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/roadnet"
-	"repro/internal/shortest"
 	"repro/internal/traj"
 )
 
@@ -56,7 +54,8 @@ func (e *DuplicateError) Error() string {
 // field docs for defaults.
 type Config struct {
 	// DataNodes is the number of preprocessing workers ingest shards
-	// trajectories across (the paper's data nodes). Zero selects 4.
+	// trajectories across (the paper's data nodes), drawn from the
+	// session pipeline's partitioner pool. Zero selects 4.
 	DataNodes int
 	// MaxBatch caps trajectories per ingest batch (enforced by the
 	// server's handler; exposed through MaxBatch). Zero selects 10000.
@@ -171,11 +170,8 @@ type Session struct {
 	version   uint64
 	epoch     uint64 // bumped whenever fragments is rebuilt (heal)
 
-	// One partitioner per data node; a channel semaphore since
-	// partitioners are not concurrency-safe.
-	nodes chan *traj.Partitioner
-
-	// pipeline runs every fold and read; it holds no per-run state.
+	// pipeline partitions every ingest and runs every fold and read; it
+	// holds no per-run state.
 	pipeline *neat.Pipeline
 
 	// fold is the fold lock, one deep: a channel, so a waiter leaves
@@ -225,7 +221,6 @@ func New(name string, g *roadnet.Graph, cfg Config) (*Session, error) {
 		cfg:      cfg,
 		seenIDs:  make(map[traj.ID]struct{}),
 		lastGood: make(map[string]any),
-		nodes:    make(chan *traj.Partitioner, cfg.DataNodes),
 		fold:     make(chan struct{}, 1),
 	}
 	s.snap.Store(&Snapshot{})
@@ -234,9 +229,6 @@ func New(name string, g *roadnet.Graph, cfg Config) (*Session, error) {
 	}
 	s.guard = guard.New(cfg.Guard)
 	s.guard.Instrument(cfg.Obs, cfg.Label)
-	for i := 0; i < cfg.DataNodes; i++ {
-		s.nodes <- traj.NewPartitioner(g, shortest.New(g, nil))
-	}
 	s.pipeline = neat.NewPipeline(g)
 	s.pipeline.Instrument(cfg.Obs)
 	if cfg.CacheEntries >= 0 {
@@ -261,10 +253,11 @@ func New(name string, g *roadnet.Graph, cfg Config) (*Session, error) {
 	s.env = commit.New(name, s.guard, cfg.Fault, ErrClosed)
 	if cfg.Persist != nil {
 		// The recovery replays through the normal preprocessing path
-		// (sharded t-fragment extraction, which is deterministic), so
-		// the recovered fragments are byte-identical to the ones the
-		// session held when each batch was first acknowledged. Nothing
-		// else holds the session yet, so ingestMu is not taken.
+		// (t-fragment extraction on the data nodes, which is
+		// deterministic), so the recovered fragments are byte-identical
+		// to the ones the session held when each batch was first
+		// acknowledged. Nothing else holds the session yet, so ingestMu
+		// is not taken.
 		if err := s.env.Open(*cfg.Persist, cfg.Obs, ErrNotDurable, s.encode, s.restore, s.replay, s.heal); err != nil {
 			return nil, fmt.Errorf("session %q: %w", name, err)
 		}
@@ -381,14 +374,14 @@ func (s *Session) Refine(ctx context.Context, fs *neat.FlowSet, cfg neat.Config,
 
 // Ingest commits one batch through the session's envelope: ids[i]
 // names the trajectory convert(i) yields (the two-step shape lets the
-// server convert wire DTOs inside the data-node pool without this
-// package knowing about DTOs). The whole batch commits atomically or
-// not at all: duplicate ids, a conversion/partition error, context
-// expiry, a contained panic, or a WAL append failure leave the session
-// exactly as it was and publish nothing. On success the new snapshot
-// is visible to readers before Ingest returns. A watchdog deadline,
-// when configured, bounds how long preprocessing may stall while the
-// client still waits.
+// server convert wire DTOs on the data nodes without this package
+// knowing about DTOs). The whole batch commits atomically or not at
+// all: duplicate ids, a conversion/partition error, context expiry, a
+// contained panic, or a WAL append failure leave the session exactly
+// as it was and publish nothing. On success the new snapshot is
+// visible to readers before Ingest returns. A watchdog deadline, when
+// configured, bounds how long preprocessing may stall while the client
+// still waits.
 func (s *Session) Ingest(ctx context.Context, ids []traj.ID, convert func(int) (traj.Trajectory, error)) (IngestStats, error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
@@ -472,7 +465,7 @@ func (s *Session) apply(ctx context.Context, ids []traj.ID, convert func(int) (t
 		}
 		batch[id] = struct{}{}
 	}
-	frags, trajs, err := s.preprocess(ctx, len(ids), convert)
+	frags, trajs, err := s.Preprocess(ctx, len(ids), convert)
 	if err != nil {
 		return traj.Dataset{}, IngestStats{}, err
 	}
@@ -501,69 +494,15 @@ func (s *Session) publishLocked() {
 	})
 }
 
-// Preprocess shards trajectory conversion and t-fragment extraction
-// across the data nodes: convert(i) produces trajectory i, a
-// partitioner cuts it. Output preserves index order so ingestion stays
-// deterministic; the context is observed before each trajectory is
-// claimed, so an expired request stops promptly (all goroutines are
-// always joined) and reports the ctx error. Exported for tests; Ingest
-// is the transactional entry point.
+// Preprocess converts and partitions n trajectories on the session's
+// DataNodes workers (neat.Pipeline.PartitionEach): convert(i) yields
+// trajectory i. Output keeps index order; the error is ctx's if it
+// expired, else the first failing trajectory's, and a panic in convert
+// is raised again on the caller's goroutine. Ingest is the
+// transactional entry point; tests and the serve-path benchmark's
+// traced replay call this directly.
 func (s *Session) Preprocess(ctx context.Context, n int, convert func(int) (traj.Trajectory, error)) ([]traj.TFragment, []traj.Trajectory, error) {
-	return s.preprocess(ctx, n, convert)
-}
-
-func (s *Session) preprocess(ctx context.Context, n int, convert func(int) (traj.Trajectory, error)) ([]traj.TFragment, []traj.Trajectory, error) {
-	type result struct {
-		tr    traj.Trajectory
-		frags []traj.TFragment
-		err   error
-	}
-	results := make([]result, n)
-	var wg sync.WaitGroup
-	sem := s.nodes
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				// A panic in a data-node worker (a hostile convert, a
-				// corrupt trajectory) must not kill the process: contain
-				// it to this trajectory's slot as a typed error.
-				if r := recover(); r != nil {
-					results[i] = result{err: &guard.PanicError{Value: r, Stack: debug.Stack()}}
-				}
-			}()
-			node := <-sem
-			defer func() { sem <- node }()
-			if err := ctx.Err(); err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			tr, err := convert(i)
-			if err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			frags, err := node.Partition(tr)
-			results[i] = result{tr: tr, frags: frags, err: err}
-		}(i)
-	}
-	wg.Wait()
-	// Deterministic error selection: ctx expiry first, else the first
-	// trajectory (in request order) that failed.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	var out []traj.TFragment
-	var trajs []traj.Trajectory
-	for _, res := range results {
-		if res.err != nil {
-			return nil, nil, res.err
-		}
-		out = append(out, res.frags...)
-		trajs = append(trajs, res.tr)
-	}
-	return out, trajs, nil
+	return s.pipeline.PartitionEach(ctx, s.cfg.DataNodes, n, convert)
 }
 
 // replay applies one logged batch, with identity converts.
