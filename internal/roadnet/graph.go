@@ -136,7 +136,6 @@ type Graph struct {
 	in  [][]EdgeID // incoming directed edges per node
 
 	segsAt  [][]SegID // incident segments (sids) per node
-	edgeBy  map[[2]NodeID]EdgeID
 	bounds  geo.Rect
 	totalLn float64
 
@@ -189,12 +188,6 @@ func (g *Graph) SegmentsAt(n NodeID) []SegID { return g.segsAt[n] }
 
 // Degree returns the number of physical segments incident to n.
 func (g *Graph) Degree(n NodeID) int { return len(g.segsAt[n]) }
-
-// DirectedEdge returns the directed edge from a to b, if one exists.
-func (g *Graph) DirectedEdge(a, b NodeID) (EdgeID, bool) {
-	id, ok := g.edgeBy[[2]NodeID{a, b}]
-	return id, ok
-}
 
 // Bounds returns the bounding rectangle of all junction coordinates.
 func (g *Graph) Bounds() geo.Rect { return g.bounds }
@@ -340,7 +333,6 @@ func (b *Builder) Build() (*Graph, error) {
 		out:      make([][]EdgeID, len(b.nodes)),
 		in:       make([][]EdgeID, len(b.nodes)),
 		segsAt:   make([][]SegID, len(b.nodes)),
-		edgeBy:   make(map[[2]NodeID]EdgeID, 2*len(b.specs)),
 		bounds:   geo.EmptyRect(),
 	}
 	for _, n := range g.nodes {
@@ -378,5 +370,4 @@ func (g *Graph) addEdge(sid SegID, from, to NodeID, length float64) {
 	g.edges = append(g.edges, Edge{ID: id, Seg: sid, From: from, To: to, Length: length})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
-	g.edgeBy[[2]NodeID{from, to}] = id
 }

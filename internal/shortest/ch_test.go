@@ -138,7 +138,7 @@ func BenchmarkCHQuery(b *testing.B) {
 		e := New(g, nil)
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			e.Distance(p[0], p[1], Undirected)
+			e.Dijkstra(p[0], p[1], Undirected)
 		}
 	})
 }

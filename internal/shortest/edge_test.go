@@ -71,8 +71,8 @@ func TestStatsSharedAcrossEngines(t *testing.T) {
 	shared := &Stats{}
 	e1 := New(g, shared)
 	e2 := New(g, shared)
-	e1.Distance(at(0, 0), at(2, 2), Undirected)
-	e2.Distance(at(2, 2), at(0, 0), Undirected)
+	e1.AStar(at(0, 0), at(2, 2), Undirected)
+	e2.AStar(at(2, 2), at(0, 0), Undirected)
 	if q, _ := shared.Snapshot(); q != 2 {
 		t.Errorf("shared queries = %d, want 2", q)
 	}

@@ -1,6 +1,10 @@
 package shortest
 
-import "repro/internal/roadnet"
+import (
+	"math"
+
+	"repro/internal/roadnet"
+)
 
 // heapItem is an entry of the priority queue: a node and its current
 // priority (tentative distance, plus heuristic for A*). The queue uses
@@ -18,9 +22,16 @@ type nodeHeap struct {
 	items []heapItem
 }
 
-func (h *nodeHeap) reset()         { h.items = h.items[:0] }
-func (h *nodeHeap) len() int       { return len(h.items) }
-func (h *nodeHeap) peek() heapItem { return h.items[0] }
+func (h *nodeHeap) reset()   { h.items = h.items[:0] }
+func (h *nodeHeap) len() int { return len(h.items) }
+
+// min returns the smallest priority, +Inf when the heap is empty.
+func (h *nodeHeap) min() float64 {
+	if len(h.items) == 0 {
+		return math.Inf(1)
+	}
+	return h.items[0].prio
+}
 
 func (h *nodeHeap) push(it heapItem) {
 	h.items = append(h.items, it)

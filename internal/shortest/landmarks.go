@@ -135,43 +135,5 @@ func (a *ALT) Heuristic(target roadnet.NodeID) func(roadnet.NodeID) float64 {
 
 // AStarALT runs A* with the ALT heuristic on the undirected view.
 func (e *Engine) AStarALT(from, to roadnet.NodeID, alt *ALT) Result {
-	return e.pointToPointH(from, to, Undirected, alt.Heuristic(to))
-}
-
-// pointToPointH is pointToPoint with an arbitrary admissible heuristic.
-func (e *Engine) pointToPointH(from, to roadnet.NodeID, mode Mode, h func(roadnet.NodeID) float64) Result {
-	e.stats.Queries.Add(1)
-	e.newEpoch()
-	e.heap.reset()
-	e.setDist(from, 0, -1)
-	e.heap.push(heapItem{node: from, prio: h(from)})
-	var settledCount int64
-	for e.heap.len() > 0 {
-		it := e.heap.pop()
-		n := it.node
-		if e.settled[n] == e.curEp {
-			continue
-		}
-		e.settled[n] = e.curEp
-		settledCount++
-		if n == to {
-			break
-		}
-		dn := e.getDist(n)
-		e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
-			if e.settled[next] == e.curEp {
-				return
-			}
-			nd := dn + w
-			if nd < e.getDist(next) {
-				e.setDist(next, nd, via)
-				e.heap.push(heapItem{node: next, prio: nd + h(next)})
-			}
-		})
-	}
-	e.stats.SettledNodes.Add(settledCount)
-	if e.settled[to] != e.curEp {
-		return Result{Dist: math.Inf(1)}
-	}
-	return e.reconstruct(from, to)
+	return e.pointToPoint(from, to, Undirected, alt.Heuristic(to))
 }

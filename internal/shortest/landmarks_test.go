@@ -64,7 +64,7 @@ func TestALTBoundAdmissible(t *testing.T) {
 		u := roadnet.NodeID(rng.Intn(g.NumNodes()))
 		v := roadnet.NodeID(rng.Intn(g.NumNodes()))
 		bound := alt.Bound(u, v)
-		truth := e.Distance(u, v, Undirected)
+		truth := e.Dijkstra(u, v, Undirected).Dist
 		if bound > truth+1e-9 {
 			t.Fatalf("ALT bound %v exceeds true distance %v for (%d,%d)", bound, truth, u, v)
 		}

@@ -15,6 +15,7 @@ package shortest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -44,7 +45,12 @@ func (s *Stats) Snapshot() (queries, settled int64) {
 	return s.Queries.Load(), s.SettledNodes.Load()
 }
 
-// Engine answers shortest-path queries over a fixed graph.
+// Engine answers shortest-path queries over a fixed graph. Every query
+// opens the same way (the injected latency draw, one count in
+// Stats.Queries, a new epoch), and every query but Bidirectional runs
+// the one settle loop, expand. Labels record the segment they arrived
+// by, so a route names the segment the expansion relaxed, and an
+// undirected relaxation reads only the junction's incident segments.
 //
 // Concurrency invariant: an Engine is NOT safe for concurrent use. The
 // epoch-stamped work arrays below are reused across queries, so two
@@ -63,19 +69,38 @@ type Engine struct {
 	// happens in the callers that can propagate errors (internal/neat).
 	faults *fault.Injector
 
-	// Epoch-stamped work arrays, reused across queries.
-	dist    []float64
-	distB   []float64 // backward search (bidirectional)
-	prev    []roadnet.EdgeID
-	prevB   []roadnet.EdgeID
-	epoch   []uint32
-	epochB  []uint32
-	settled []uint32
-	target  []uint32 // DistancesTo: stamped for the current call's targets
-	curEp   uint32
+	// Epoch-stamped work arrays, reused across queries: an entry
+	// belongs to the current query only while its stamp equals curEp.
+	fwd    frontier
+	bwd    frontier        // Bidirectional's backward search
+	prev   []roadnet.SegID // segment each forward label arrived by
+	target []uint32        // nodes the current expansion waits to settle
+	curEp  uint32
+}
 
-	heap  nodeHeap
-	heapB nodeHeap
+// frontier is one search direction's labels, settle stamps and heap.
+type frontier struct {
+	dist    []float64
+	epoch   []uint32
+	settled []uint32
+	heap    nodeHeap
+}
+
+func newFrontier(n int) frontier {
+	return frontier{dist: make([]float64, n), epoch: make([]uint32, n), settled: make([]uint32, n)}
+}
+
+// at returns n's label in the query stamped ep, +Inf when it has none.
+func (f *frontier) at(n roadnet.NodeID, ep uint32) float64 {
+	if f.epoch[n] != ep {
+		return math.Inf(1)
+	}
+	return f.dist[n]
+}
+
+func (f *frontier) label(n roadnet.NodeID, d float64, ep uint32) {
+	f.epoch[n] = ep
+	f.dist[n] = d
 }
 
 // New creates an Engine over g. The optional stats receiver accumulates
@@ -86,16 +111,12 @@ func New(g *roadnet.Graph, stats *Stats) *Engine {
 	}
 	n := g.NumNodes()
 	return &Engine{
-		g:       g,
-		stats:   stats,
-		dist:    make([]float64, n),
-		distB:   make([]float64, n),
-		prev:    make([]roadnet.EdgeID, n),
-		prevB:   make([]roadnet.EdgeID, n),
-		epoch:   make([]uint32, n),
-		epochB:  make([]uint32, n),
-		settled: make([]uint32, n),
-		target:  make([]uint32, n),
+		g:      g,
+		stats:  stats,
+		fwd:    newFrontier(n),
+		bwd:    newFrontier(n),
+		prev:   make([]roadnet.SegID, n),
+		target: make([]uint32, n),
 	}
 }
 
@@ -111,76 +132,98 @@ func (e *Engine) Stats() *Stats { return e.stats }
 // Graph returns the underlying graph.
 func (e *Engine) Graph() *roadnet.Graph { return e.g }
 
-func (e *Engine) newEpoch() {
+// open starts a query: it draws the injected latency, counts the query
+// and moves to a new epoch, which discards every label, settle stamp
+// and target mark of earlier queries.
+func (e *Engine) open() {
+	e.faults.Sleep(fault.SPQuery)
+	e.stats.Queries.Add(1)
 	e.curEp++
 	if e.curEp == 0 { // wrapped: clear stamps and restart
-		for i := range e.epoch {
-			e.epoch[i] = 0
-			e.epochB[i] = 0
-			e.settled[i] = 0
-			e.target[i] = 0
+		for _, stamps := range [][]uint32{e.fwd.epoch, e.fwd.settled, e.bwd.epoch, e.bwd.settled, e.target} {
+			clear(stamps)
 		}
 		e.curEp = 1
 	}
 }
 
-func (e *Engine) getDist(n roadnet.NodeID) float64 {
-	if e.epoch[n] != e.curEp {
-		return math.Inf(1)
-	}
-	return e.dist[n]
-}
-
-func (e *Engine) setDist(n roadnet.NodeID, d float64, via roadnet.EdgeID) {
-	e.epoch[n] = e.curEp
-	e.dist[n] = d
-	e.prev[n] = via
-}
-
-func (e *Engine) getDistB(n roadnet.NodeID) float64 {
-	if e.epochB[n] != e.curEp {
-		return math.Inf(1)
-	}
-	return e.distB[n]
-}
-
-func (e *Engine) setDistB(n roadnet.NodeID, d float64, via roadnet.EdgeID) {
-	e.epochB[n] = e.curEp
-	e.distB[n] = d
-	e.prevB[n] = via
-}
-
-// forEachNeighbor visits the neighbors of n reachable in one hop under
-// the mode. forward=false reverses edge direction (for the backward
-// frontier of bidirectional search).
-func (e *Engine) forEachNeighbor(n roadnet.NodeID, mode Mode, forward bool, visit func(next roadnet.NodeID, via roadnet.EdgeID, w float64)) {
-	if mode == Undirected {
-		// Every incident segment is traversable; synthesize the edge id
-		// of the matching directed edge when one exists, else use the
-		// opposite direction's id (only used for path reconstruction by
-		// segment, which is direction-agnostic).
+// forEachNeighbor visits the junctions one segment away from n under
+// the mode, with that segment and its length. forward=false follows
+// directed edges backwards (for the backward frontier of bidirectional
+// search).
+func (e *Engine) forEachNeighbor(n roadnet.NodeID, mode Mode, forward bool, visit func(next roadnet.NodeID, via roadnet.SegID, w float64)) {
+	switch {
+	case mode == Undirected:
 		for _, sid := range e.g.SegmentsAt(n) {
 			seg := e.g.Segment(sid)
-			next := seg.OtherEnd(n)
-			eid, ok := e.g.DirectedEdge(n, next)
-			if !ok {
-				eid, _ = e.g.DirectedEdge(next, n)
-			}
-			visit(next, eid, seg.Length)
+			visit(seg.OtherEnd(n), sid, seg.Length)
 		}
-		return
-	}
-	if forward {
+	case forward:
 		for _, eid := range e.g.Out(n) {
 			ed := e.g.Edge(eid)
-			visit(ed.To, eid, ed.Length)
+			visit(ed.To, ed.Seg, ed.Length)
 		}
-	} else {
+	default:
 		for _, eid := range e.g.In(n) {
 			ed := e.g.Edge(eid)
-			visit(ed.From, eid, ed.Length)
+			visit(ed.From, ed.Seg, ed.Length)
 		}
 	}
+}
+
+// expand is the settle loop behind every single-source query: Dijkstra
+// from `from` under the mode, popping nodes in order of distance plus
+// the heuristic h (nil for none), labelling no node farther than
+// maxDist, and stopping once `targets` target-marked nodes are settled
+// (0 runs until the frontier empties). Only the source can be settled
+// beyond maxDist, when maxDist < 0, and it then labels nothing. The
+// settled nodes are added to Stats.
+func (e *Engine) expand(from roadnet.NodeID, mode Mode, maxDist float64, h func(roadnet.NodeID) float64, targets int) {
+	f, ep := &e.fwd, e.curEp
+	f.heap.reset()
+	f.label(from, 0, ep)
+	f.heap.push(heapItem{node: from, prio: priority(h, from, 0)})
+	var settled int64
+	for f.heap.len() > 0 {
+		n := f.heap.pop().node
+		if f.settled[n] == ep {
+			continue
+		}
+		f.settled[n] = ep
+		settled++
+		if e.target[n] == ep {
+			if targets--; targets == 0 {
+				break
+			}
+		}
+		dn := f.dist[n]
+		e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.SegID, w float64) {
+			if nd := dn + w; f.settled[next] != ep && nd <= maxDist && nd < f.at(next, ep) {
+				f.label(next, nd, ep)
+				e.prev[next] = via
+				f.heap.push(heapItem{node: next, prio: priority(h, next, nd)})
+			}
+		})
+	}
+	e.stats.SettledNodes.Add(settled)
+}
+
+// priority orders expand's heap: the distance d to n plus the
+// heuristic, if any.
+func priority(h func(roadnet.NodeID) float64, n roadnet.NodeID, d float64) float64 {
+	if h == nil {
+		return d
+	}
+	return d + h(n)
+}
+
+// reached returns n's distance when the last expansion settled it
+// within maxDist, else +Inf.
+func (e *Engine) reached(n roadnet.NodeID, maxDist float64) float64 {
+	if d := e.fwd.dist[n]; e.fwd.settled[n] == e.curEp && d <= maxDist {
+		return d
+	}
+	return math.Inf(1)
 }
 
 // Result is the outcome of a point-to-point query.
@@ -196,236 +239,98 @@ func (r Result) Reachable() bool { return !math.IsInf(r.Dist, 1) }
 // Dijkstra computes the shortest path from one junction to another
 // using plain network expansion.
 func (e *Engine) Dijkstra(from, to roadnet.NodeID, mode Mode) Result {
-	return e.pointToPoint(from, to, mode, false)
+	return e.pointToPoint(from, to, mode, nil)
 }
 
 // AStar computes the shortest path using A* with the straight-line
 // distance heuristic, which is admissible because segment lengths equal
 // the Euclidean distance between their endpoints.
 func (e *Engine) AStar(from, to roadnet.NodeID, mode Mode) Result {
-	return e.pointToPoint(from, to, mode, true)
+	target := e.g.Node(to).Pt
+	return e.pointToPoint(from, to, mode, func(n roadnet.NodeID) float64 { return e.g.Node(n).Pt.Dist(target) })
 }
 
-func (e *Engine) pointToPoint(from, to roadnet.NodeID, mode Mode, astar bool) Result {
-	e.faults.Sleep(fault.SPQuery)
-	e.stats.Queries.Add(1)
-	e.newEpoch()
-	target := e.g.Node(to).Pt
-	h := func(n roadnet.NodeID) float64 {
-		if !astar {
-			return 0
-		}
-		return e.g.Node(n).Pt.Dist(target)
+// pointToPoint expands from `from` until `to` is settled and walks the
+// predecessor segments back into a route.
+func (e *Engine) pointToPoint(from, to roadnet.NodeID, mode Mode, h func(roadnet.NodeID) float64) Result {
+	e.open()
+	e.target[to] = e.curEp
+	e.expand(from, mode, math.Inf(1), h, 1)
+	res := Result{Dist: e.reached(to, math.Inf(1))}
+	if !res.Reachable() {
+		return res
 	}
-	e.heap.reset()
-	e.setDist(from, 0, -1)
-	e.heap.push(heapItem{node: from, prio: h(from)})
-	var settledCount int64
-	for e.heap.len() > 0 {
-		it := e.heap.pop()
-		n := it.node
-		if e.settled[n] == e.curEp {
-			continue
-		}
-		e.settled[n] = e.curEp
-		settledCount++
-		if n == to {
+	for cur := to; ; {
+		res.Nodes = append(res.Nodes, cur)
+		if cur == from {
 			break
 		}
-		dn := e.getDist(n)
-		e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
-			if e.settled[next] == e.curEp {
-				return
-			}
-			nd := dn + w
-			if nd < e.getDist(next) {
-				e.setDist(next, nd, via)
-				e.heap.push(heapItem{node: next, prio: nd + h(next)})
-			}
-		})
+		sid := e.prev[cur]
+		res.Route = append(res.Route, sid)
+		cur = e.g.Segment(sid).OtherEnd(cur)
 	}
-	e.stats.SettledNodes.Add(settledCount)
-	if e.settled[to] != e.curEp {
-		return Result{Dist: math.Inf(1)}
-	}
-	return e.reconstruct(from, to)
-}
-
-func (e *Engine) reconstruct(from, to roadnet.NodeID) Result {
-	res := Result{Dist: e.getDist(to)}
-	// Walk predecessor edges backwards.
-	var nodes []roadnet.NodeID
-	var route roadnet.Route
-	cur := to
-	for cur != from {
-		nodes = append(nodes, cur)
-		eid := e.prev[cur]
-		if eid < 0 {
-			return Result{Dist: math.Inf(1)}
-		}
-		ed := e.g.Edge(eid)
-		route = append(route, ed.Seg)
-		if ed.To == cur {
-			cur = ed.From
-		} else {
-			cur = ed.To
-		}
-	}
-	nodes = append(nodes, from)
-	reverseNodes(nodes)
-	reverseRoute(route)
-	res.Nodes = nodes
-	res.Route = route
+	slices.Reverse(res.Nodes)
+	slices.Reverse(res.Route)
 	return res
-}
-
-func reverseNodes(s []roadnet.NodeID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func reverseRoute(s roadnet.Route) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Distance returns only the network distance between two junctions,
-// without path reconstruction, using Dijkstra expansion with early
-// termination at the target.
-func (e *Engine) Distance(from, to roadnet.NodeID, mode Mode) float64 {
-	if from == to {
-		e.stats.Queries.Add(1)
-		return 0
-	}
-	return e.pointToPoint(from, to, mode, true).Dist
 }
 
 // BoundedDistance returns the network distance between two junctions if
 // it does not exceed maxDist, or +Inf otherwise. The expansion is
 // pruned at maxDist, which keeps epsilon-neighborhood probes cheap.
 func (e *Engine) BoundedDistance(from, to roadnet.NodeID, mode Mode, maxDist float64) float64 {
-	e.faults.Sleep(fault.SPQuery)
-	e.stats.Queries.Add(1)
+	e.open()
 	if from == to {
 		return 0
 	}
-	e.newEpoch()
-	e.heap.reset()
-	e.setDist(from, 0, -1)
-	e.heap.push(heapItem{node: from, prio: 0})
-	var settledCount int64
-	defer func() { e.stats.SettledNodes.Add(settledCount) }()
-	for e.heap.len() > 0 {
-		it := e.heap.pop()
-		n := it.node
-		if e.settled[n] == e.curEp {
-			continue
-		}
-		e.settled[n] = e.curEp
-		settledCount++
-		dn := e.getDist(n)
-		if dn > maxDist {
-			return math.Inf(1)
-		}
-		if n == to {
-			return dn
-		}
-		e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
-			if e.settled[next] == e.curEp {
-				return
-			}
-			nd := dn + w
-			if nd <= maxDist && nd < e.getDist(next) {
-				e.setDist(next, nd, via)
-				e.heap.push(heapItem{node: next, prio: nd})
-			}
-		})
-	}
-	return math.Inf(1)
+	e.target[to] = e.curEp
+	e.expand(from, mode, maxDist, nil, 1)
+	return e.reached(to, maxDist)
 }
 
 // Bidirectional computes the shortest path distance between two
 // junctions with bidirectional Dijkstra. It returns only the distance;
 // it exists as an ablation comparator for Phase 3's distance kernel.
+// Both frontiers keep epoch-stamped arrays, so a call allocates
+// nothing.
 func (e *Engine) Bidirectional(from, to roadnet.NodeID, mode Mode) float64 {
-	e.faults.Sleep(fault.SPQuery)
-	e.stats.Queries.Add(1)
+	e.open()
 	if from == to {
 		return 0
 	}
-	e.newEpoch()
-	e.heap.reset()
-	e.heapB.reset()
-	e.setDist(from, 0, -1)
-	e.setDistB(to, 0, -1)
-	e.heap.push(heapItem{node: from, prio: 0})
-	e.heapB.push(heapItem{node: to, prio: 0})
+	ep := e.curEp
+	e.fwd.heap.reset()
+	e.bwd.heap.reset()
+	e.fwd.label(from, 0, ep)
+	e.bwd.label(to, 0, ep)
+	e.fwd.heap.push(heapItem{node: from, prio: 0})
+	e.bwd.heap.push(heapItem{node: to, prio: 0})
 	best := math.Inf(1)
-	var settledCount int64
-	defer func() { e.stats.SettledNodes.Add(settledCount) }()
-
-	settledF := make(map[roadnet.NodeID]struct{})
-	settledB := make(map[roadnet.NodeID]struct{})
-
-	for e.heap.len() > 0 || e.heapB.len() > 0 {
-		var topF, topB float64 = math.Inf(1), math.Inf(1)
-		if e.heap.len() > 0 {
-			topF = e.heap.peek().prio
+	var settled int64
+	// The search ends once the two frontiers' minima sum past the best
+	// meeting, which an empty frontier (+Inf) always does.
+	for e.fwd.heap.min()+e.bwd.heap.min() < best {
+		f, other, forward := &e.fwd, &e.bwd, true
+		if e.bwd.heap.min() < e.fwd.heap.min() {
+			f, other, forward = &e.bwd, &e.fwd, false
 		}
-		if e.heapB.len() > 0 {
-			topB = e.heapB.peek().prio
+		n := f.heap.pop().node
+		if f.settled[n] == ep {
+			continue
 		}
-		if topF+topB >= best {
-			break
-		}
-		if topF <= topB {
-			it := e.heap.pop()
-			n := it.node
-			if _, done := settledF[n]; done {
-				continue
+		f.settled[n] = ep
+		settled++
+		dn := f.dist[n]
+		best = math.Min(best, dn+other.at(n, ep))
+		e.forEachNeighbor(n, mode, forward, func(next roadnet.NodeID, _ roadnet.SegID, w float64) {
+			nd := dn + w
+			if nd < f.at(next, ep) {
+				f.label(next, nd, ep)
+				f.heap.push(heapItem{node: next, prio: nd})
 			}
-			settledF[n] = struct{}{}
-			settledCount++
-			dn := e.getDist(n)
-			if db := e.getDistB(n); !math.IsInf(db, 1) && dn+db < best {
-				best = dn + db
-			}
-			e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
-				nd := dn + w
-				if nd < e.getDist(next) {
-					e.setDist(next, nd, via)
-					e.heap.push(heapItem{node: next, prio: nd})
-				}
-				if db := e.getDistB(next); !math.IsInf(db, 1) && nd+db < best {
-					best = nd + db
-				}
-			})
-		} else {
-			it := e.heapB.pop()
-			n := it.node
-			if _, done := settledB[n]; done {
-				continue
-			}
-			settledB[n] = struct{}{}
-			settledCount++
-			dn := e.getDistB(n)
-			if df := e.getDist(n); !math.IsInf(df, 1) && dn+df < best {
-				best = dn + df
-			}
-			e.forEachNeighbor(n, mode, false, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
-				nd := dn + w
-				if nd < e.getDistB(next) {
-					e.setDistB(next, nd, via)
-					e.heapB.push(heapItem{node: next, prio: nd})
-				}
-				if df := e.getDist(next); !math.IsInf(df, 1) && nd+df < best {
-					best = nd + df
-				}
-			})
-		}
+			best = math.Min(best, nd+other.at(next, ep))
+		})
 	}
+	e.stats.SettledNodes.Add(settled)
 	return best
 }
 
@@ -434,41 +339,12 @@ func (e *Engine) Bidirectional(from, to roadnet.NodeID, mode Mode) float64 {
 // slice is indexed by NodeID; unreachable nodes hold +Inf. The slice is
 // freshly allocated and owned by the caller.
 func (e *Engine) Tree(from roadnet.NodeID, mode Mode, maxDist float64) []float64 {
-	e.stats.Queries.Add(1)
-	e.newEpoch()
-	e.heap.reset()
-	e.setDist(from, 0, -1)
-	e.heap.push(heapItem{node: from, prio: 0})
+	e.open()
+	e.expand(from, mode, maxDist, nil, 0)
 	out := make([]float64, e.g.NumNodes())
-	for i := range out {
-		out[i] = math.Inf(1)
+	for n := range out {
+		out[n] = e.reached(roadnet.NodeID(n), maxDist)
 	}
-	var settledCount int64
-	for e.heap.len() > 0 {
-		it := e.heap.pop()
-		n := it.node
-		if e.settled[n] == e.curEp {
-			continue
-		}
-		e.settled[n] = e.curEp
-		settledCount++
-		dn := e.getDist(n)
-		if dn > maxDist {
-			break
-		}
-		out[n] = dn
-		e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
-			if e.settled[next] == e.curEp {
-				return
-			}
-			nd := dn + w
-			if nd <= maxDist && nd < e.getDist(next) {
-				e.setDist(next, nd, via)
-				e.heap.push(heapItem{node: next, prio: nd})
-			}
-		})
-	}
-	e.stats.SettledNodes.Add(settledCount)
 	return out
 }
 
@@ -479,17 +355,15 @@ func (e *Engine) Tree(from roadnet.NodeID, mode Mode, maxDist float64) []float64
 // Entries farther than maxDist (or unreachable) hold +Inf, a target
 // equal to from holds 0, and a repeated target gets the same distance
 // in every slot. The expansion stops as soon as every distinct target
-// is settled or the frontier exceeds maxDist, and it counts as ONE
-// query in Stats — this is the kernel that lets an ε-neighborhood scan
-// collapse many point-to-point probes from the same source into one
-// Dijkstra pass (generalizing Tree, which reports the whole
-// radius-bounded tree). Targets are marked in an epoch-stamped
-// per-node array, so a call allocates nothing.
+// is settled or nothing within maxDist is left to settle, and it
+// counts as ONE query in Stats — this is the kernel that lets an
+// ε-neighborhood scan collapse many point-to-point probes from the
+// same source into one Dijkstra pass (generalizing Tree, which reports
+// the whole radius-bounded tree). Targets are marked in an
+// epoch-stamped per-node array, so a call allocates nothing.
 func (e *Engine) DistancesTo(dst []float64, from roadnet.NodeID, mode Mode, maxDist float64, targets []roadnet.NodeID) []float64 {
-	e.faults.Sleep(fault.SPQuery)
-	e.stats.Queries.Add(1)
+	e.open()
 	dst = dst[:len(targets)]
-	e.newEpoch()
 	remaining := 0
 	for _, t := range targets {
 		if t != from && e.target[t] != e.curEp {
@@ -498,50 +372,13 @@ func (e *Engine) DistancesTo(dst []float64, from roadnet.NodeID, mode Mode, maxD
 		}
 	}
 	if remaining > 0 {
-		e.heap.reset()
-		e.setDist(from, 0, -1)
-		e.heap.push(heapItem{node: from, prio: 0})
-		var settledCount int64
-		for e.heap.len() > 0 {
-			it := e.heap.pop()
-			n := it.node
-			if e.settled[n] == e.curEp {
-				continue
-			}
-			e.settled[n] = e.curEp
-			settledCount++
-			dn := e.getDist(n)
-			if dn > maxDist {
-				break
-			}
-			if e.target[n] == e.curEp {
-				if remaining--; remaining == 0 {
-					break
-				}
-			}
-			e.forEachNeighbor(n, mode, true, func(next roadnet.NodeID, via roadnet.EdgeID, w float64) {
-				if e.settled[next] == e.curEp {
-					return
-				}
-				nd := dn + w
-				if nd <= maxDist && nd < e.getDist(next) {
-					e.setDist(next, nd, via)
-					e.heap.push(heapItem{node: next, prio: nd})
-				}
-			})
-		}
-		e.stats.SettledNodes.Add(settledCount)
+		e.expand(from, mode, maxDist, nil, remaining)
 	}
-	// A settled node's label is final; one settled beyond maxDist
-	// (only the source, when maxDist < 0) reads as beyond it.
 	for i, t := range targets {
-		switch d := e.getDist(t); {
-		case t == from:
+		if t == from {
 			dst[i] = 0
-		case e.settled[t] == e.curEp && d <= maxDist:
-			dst[i] = d
-		default:
-			dst[i] = math.Inf(1)
+		} else {
+			dst[i] = e.reached(t, maxDist)
 		}
 	}
 	return dst
@@ -574,7 +411,7 @@ func (e *Engine) LocationRoute(a, b roadnet.Location, mode Mode) (float64, Resul
 			if nb == segB.NJ {
 				offB = segB.Length - b.Offset
 			}
-			r := e.pointToPoint(na, nb, mode, true)
+			r := e.AStar(na, nb, mode)
 			if !r.Reachable() {
 				continue
 			}
