@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/conc"
 	"repro/internal/distcache"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -23,10 +24,10 @@ import (
 
 // FlowSet is the parameter-independent product of Phases 1–2 over one
 // fragment set. It holds no base cluster and no t-fragment: counts,
-// detached flows and, once a batched read has refined it, the
-// junction-distance table of its loosest such read that fits the
-// read's distance cache, so keeping one per published dataset is
-// cheap. It is safe for concurrent reads.
+// detached flows and, once a batched read has refined it, the pair
+// table of its loosest such read that fits the read's distance cache
+// (20 bytes per candidate flow pair), so keeping one per published
+// dataset is cheap. It is safe for concurrent reads.
 type FlowSet struct {
 	// BaseClusters is the number of Phase 1 base clusters.
 	BaseClusters int
@@ -34,39 +35,32 @@ type FlowSet struct {
 	// order, each detached from its members (see FlowCluster.Detached).
 	Flows []*FlowCluster
 
-	// table is the junction-distance table of the loosest batched
-	// read so far: smallest minCard, widest ε (see epsGraph).
-	table atomic.Pointer[junctionDists]
+	// table is the pair table of the loosest batched read so far:
+	// smallest minCard, widest ε (see epsGraph).
+	table atomic.Pointer[pairTable]
 }
 
 // epsGraph is the batched builder for a read over flows, fs's flows at
-// minCard. When the kept table answers the read (a minCard at least
-// its own, an ε at most its own), only the predicate pass runs: no
-// grid scan, no cache probe, no shortest path, and stats say
-// FromTable. Otherwise the read builds its own table through the cache
-// and keeps it if it covers the kept one on both axes and holds no
-// more pairs than keepLimit; a table looser on one axis and tighter on
-// the other stays.
+// minCard. When the kept pair table answers the read (a minCard at
+// least its own, an ε at most its own), only the filter runs: no grid
+// scan, no cache probe, no shortest path, and stats say FromTable.
+// Otherwise the read builds its own table through the cache and keeps
+// it if it covers the kept one on both axes and holds no more entries
+// than keepLimit; a table looser on one axis and tighter on the other
+// stays.
 func (fs *FlowSet) epsGraph(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, minCard int, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
 	t := fs.table.Load()
 	if t.answers(g, minCard, cfg.Epsilon) {
-		if cfg.Epsilon < t.eps && t.eucl == nil {
-			// A narrower ε reads a prefix of each row by distance:
-			// order the rows once, for this read and the set's later
-			// ones. A set read once never pays for it.
-			sorted := t.sortedByDist()
-			fs.table.CompareAndSwap(t, sorted)
-			t = sorted
-		}
 		stats.FromTable = true
+		stats.Workers = conc.WorkersFor(cfg.Workers, len(flows))
 		return t.epsGraph(ctx, flows, cfg, stats)
 	}
-	t, err := buildJunctionDists(ctx, g, flows, cfg, stats)
+	t, err := buildPairTable(ctx, g, flows, cfg, stats)
 	if err != nil {
 		return nil, err
 	}
 	t.minCard = minCard
-	for len(t.upper.val) <= keepLimit(cfg.Cache) {
+	for len(t.col) <= keepLimit(cfg.Cache) {
 		kept := fs.table.Load()
 		if kept != nil && !t.answers(kept.g, kept.minCard, kept.eps) {
 			break
@@ -78,11 +72,11 @@ func (fs *FlowSet) epsGraph(ctx context.Context, g *roadnet.Graph, flows []*Flow
 	return t.epsGraph(ctx, flows, cfg, stats)
 }
 
-// keepLimit is the most pairs a kept junction table may hold: the
-// read's distance-cache capacity (distcache.DefaultEntries with no
-// cache). Each pair is a distance the cache would hold, so a kept
-// table never pins more than a full cache does, and a read too wide
-// for it builds through the cache instead.
+// keepLimit is the most entries a kept pair table may hold: the read's
+// distance-cache capacity (distcache.DefaultEntries with no cache). An
+// entry's 20 bytes are less than one cached distance takes, so a kept
+// table never pins more than a full cache does, and a read too wide for
+// it builds through the cache instead.
 func keepLimit(c *distcache.Cache) int {
 	if c == nil {
 		return distcache.DefaultEntries
@@ -185,9 +179,10 @@ func (p *Pipeline) BuildFlowSet(ctx context.Context, kept *ClusterSet, frags []t
 // span. The result carries no base clusters (fs.BaseClusters counts
 // them), no fragment count and only the Phase 3 timing. It counts as
 // one run.
-// With the batched builder, a read the set's kept junction table
-// answers skips the grid scan and the distance cache (FlowSet.epsGraph,
-// RefineStats.FromTable); the clustering is the same either way.
+// With the batched builder, a read the set's kept pair table answers
+// only filters it: no grid scan, no distance cache, no shortest path
+// (FlowSet.epsGraph, RefineStats.FromTable); the clustering is the same
+// either way.
 // Concurrent calls on one set are safe.
 func (p *Pipeline) RunFlowSet(ctx context.Context, fs *FlowSet, cfg Config, level Level) (*Result, error) {
 	if level > LevelOpt {

@@ -98,9 +98,8 @@ var resultSink *neat.Result
 // warm-up reads at ε 1500 for minCard 3–5 on a shared distance cache,
 // then one read per op over the 150 keys ε 500–1480 (step 20) ×
 // minCard 3–5 in a seeded order, with the server's Phase 3 settings.
-// The warm-ups leave the ε 1500, minCard 3 junction table kept on the
-// set, and every timed read is one it answers; the first of them
-// orders the table's rows by distance, as param_sweep's first does.
+// The warm-ups leave the ε 1500, minCard 3 pair table kept on the set,
+// and every timed read is one it answers.
 func BenchmarkRunFlowSetSweep(b *testing.B) {
 	env, err := experiments.NewEnv(0.5)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -60,19 +61,23 @@ func serialRead(t *testing.T, p *Pipeline, fs *FlowSet, eps float64, minCard int
 // through the cache and leave it kept. Every read must equal a
 // cacheless serial scan: the clusters, Pairs and ELBPruned, the grid's
 // PrunedPairs (the ELB's prunes, with UseELB), and the adjacency row
-// for row, order included. A table read must also stop on a cancelled
-// context and draw no fault.
+// for row, order included. Reads at the boundaries of kept entries
+// follow: ε equal to an entry's h (the pair is an edge), to an entry's
+// minE (the pair is a candidate), and the next float below each (it is
+// not). A table read must also stop on a cancelled context and draw no
+// fault.
 func TestKeptTableDifferential(t *testing.T) {
 	p, fs0 := tableScenario(t, 200)
 	type key struct {
 		eps     float64
 		minCard int
 	}
-	reads := []struct {
+	type read struct {
 		key
 		table bool // the kept table answers it
 		kept  key  // the kept table after it
-	}{
+	}
+	reads := []read{
 		{key{1000, 4}, false, key{1000, 4}}, // first read: builds and keeps
 		{key{800, 5}, true, key{1000, 4}},
 		{key{1000, 4}, true, key{1000, 4}},  // the table's own key
@@ -89,8 +94,8 @@ func TestKeptTableDifferential(t *testing.T) {
 	}
 	for _, cache := range []*distcache.Cache{distcache.New(0), nil} {
 		fs := &FlowSet{BaseClusters: fs0.BaseClusters, Flows: fs0.Flows}
-		for ri, r := range reads {
-			name := fmt.Sprintf("cache %v read %d (ε %g minCard %d)", cache != nil, ri, r.eps, r.minCard)
+		check := func(name string, r read) {
+			t.Helper()
 			flows, _ := filterFlows(fs.Flows, r.minCard)
 			cfg := RefineConfig{Epsilon: r.eps, UseELB: true, Workers: -1, Cache: cache}.withDefaults()
 			cfg.Cache.SetScope(cacheScope(p.g, cfg))
@@ -130,6 +135,36 @@ func TestKeptTableDifferential(t *testing.T) {
 				t.Fatalf("%s: no table kept", name)
 			} else if kept.eps != r.kept.eps || kept.minCard != r.kept.minCard {
 				t.Fatalf("%s: kept table ε %g minCard %d, want ε %g minCard %d", name, kept.eps, kept.minCard, r.kept.eps, r.kept.minCard)
+			}
+		}
+		for ri, r := range reads {
+			check(fmt.Sprintf("cache %v read %d (ε %g minCard %d)", cache != nil, ri, r.eps, r.minCard), r)
+		}
+
+		// Boundary reads at the kept table's minCard, where every entry
+		// is in the read: the h of edges a quarter, half and three
+		// quarters through the entries with minE < h < ε, and the minE
+		// of the middle candidate with 0 < minE < h; each exactly, then
+		// the next float below.
+		kept := fs.table.Load()
+		var edges, cands []int
+		for k := range kept.col {
+			if kept.minE[k] < kept.h[k] && kept.h[k] < kept.eps {
+				edges = append(edges, k)
+			}
+			if kept.minE[k] > 0 && kept.minE[k] < kept.h[k] {
+				cands = append(cands, k)
+			}
+		}
+		if len(edges) < 4 || len(cands) == 0 {
+			t.Fatalf("cache %v: kept table has %d interior edges and %d candidates", cache != nil, len(edges), len(cands))
+		}
+		bounds := []float64{kept.h[edges[len(edges)/4]], kept.h[edges[len(edges)/2]], kept.h[edges[3*len(edges)/4]], kept.minE[cands[len(cands)/2]]}
+		for bi, eps := range bounds {
+			for _, e := range []float64{eps, math.Nextafter(eps, 0)} {
+				r := reads[len(reads)-1]
+				r.eps = e
+				check(fmt.Sprintf("cache %v boundary %d (ε %v minCard %d)", cache != nil, bi, e, r.minCard), r)
 			}
 		}
 
@@ -222,8 +257,8 @@ func TestKeptTableConcurrentReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Trace.Find("phase3.eps_graph").LabelMap()["junction_table"]; got != r.table {
-			t.Errorf("ε %g: eps_graph span says junction_table %q, want %q", r.eps, got, r.table)
+		if got := res.Trace.Find("phase3.eps_graph").LabelMap()["pair_table"]; got != r.table {
+			t.Errorf("ε %g: eps_graph span says pair_table %q, want %q", r.eps, got, r.table)
 		}
 		if res.RefineStats.FromTable != (r.table == "kept") {
 			t.Errorf("ε %g: FromTable %v", r.eps, res.RefineStats.FromTable)
@@ -232,7 +267,7 @@ func TestKeptTableConcurrentReads(t *testing.T) {
 }
 
 // TestKeptTableBoundedByCache pins the keep bound: a read whose table
-// holds more pairs than the read's distance cache does builds and
+// holds more entries than the read's distance cache does builds and
 // answers as any other, but does not replace the kept table, so a
 // narrower read after it is still answered from the kept one.
 func TestKeptTableBoundedByCache(t *testing.T) {
@@ -256,9 +291,9 @@ func TestKeptTableBoundedByCache(t *testing.T) {
 	if kept == nil {
 		t.Fatal("first read kept no table")
 	}
-	// A cache just large enough for the kept table's pairs, far too
+	// A cache just large enough for the kept table's entries, far too
 	// small for the pairs within 2 km.
-	small := distcache.New(len(kept.upper.val) + 64)
+	small := distcache.New(len(kept.col) + 64)
 	if st := read(2000, 3, small); st.FromTable {
 		t.Fatal("a read the kept table does not cover was answered from it")
 	}
@@ -268,9 +303,7 @@ func TestKeptTableBoundedByCache(t *testing.T) {
 	if st := read(700, 5, small); !st.FromTable {
 		t.Fatal("a read the kept table covers was not answered from it")
 	}
-	// The server's cache keeps param_sweep's table (20,705 pairs at ε
-	// 1500, minCard 3).
-	if keepLimit(distcache.New(0)) < 20705 || keepLimit(nil) != distcache.DefaultEntries {
+	if keepLimit(distcache.New(0)) != distcache.DefaultEntries || keepLimit(nil) != distcache.DefaultEntries {
 		t.Fatalf("keep limits %d (default cache) and %d (none)", keepLimit(distcache.New(0)), keepLimit(nil))
 	}
 }

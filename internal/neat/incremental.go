@@ -45,7 +45,7 @@ type EpsGraph struct {
 	spStats *shortest.Stats
 	eng     *shortest.Engine
 	alt     *shortest.ALT
-	ch      *shortest.CH
+	ch      *shortest.CHQuery // the CH kernel's query state, beside eng
 	// Snapshot cursor into spStats, so Extend can report per-call
 	// deltas from the engine's cumulative counters.
 	lastQueries, lastSettled int64
@@ -68,9 +68,11 @@ func NewEpsGraph(g *roadnet.Graph, cfg RefineConfig) (*EpsGraph, error) {
 		}
 	}
 	if cfg.Algo == SPCH {
-		if eg.ch, err = shortest.NewCH(g); err != nil {
+		ch, err := shortest.NewCH(g)
+		if err != nil {
 			return nil, fmt.Errorf("neat: CH preprocessing: %w", err)
 		}
+		eg.ch = ch.NewQuery()
 	}
 	return eg, nil
 }

@@ -290,7 +290,7 @@ func annotateRefine(sp *obs.Span, cfg RefineConfig, stats RefineStats, clusters 
 		if stats.FromTable {
 			table = "kept"
 		}
-		eg.Annotate("junction_table", table)
+		eg.Annotate("pair_table", table)
 	}
 	db := sp.AddChild("phase3.dbscan", sp.Start().Add(stats.GraphTime), stats.ClusterTime)
 	db.Annotate("clusters", clusters)

@@ -136,10 +136,10 @@ func (c RefineConfig) Validate() error {
 }
 
 // RefineStats quantifies the work Phase 3 performed; Fig 7 is built
-// from these counters. A batched read that a flow set's kept junction
-// table answers (FromTable) does no distance work: it reports 0
-// SPQueries, SettledNodes, Expansions, CacheHits and CacheMisses, while
-// Pairs, ELBPruned, PrunedPairs and Workers read as for a build.
+// from these counters. A batched read that a flow set's kept pair table
+// answers (FromTable) does no distance work: it reports 0 SPQueries,
+// SettledNodes, Expansions, CacheHits and CacheMisses, while Pairs,
+// ELBPruned and PrunedPairs read as for a build.
 type RefineStats struct {
 	// Pairs is the number of flow-cluster pairs examined.
 	Pairs int
@@ -159,18 +159,21 @@ type RefineStats struct {
 	Expansions int64
 	// PrunedPairs is the number of pairs the Euclidean grid
 	// pre-filter rejected before any expansion was scheduled (batched
-	// path only; equals ELBPruned there when UseELB is set). A table
-	// read applies the grid's test to the table's stored distances,
-	// so it counts the same pairs.
+	// path only; equals ELBPruned there when UseELB is set). A pair
+	// table read applies the grid's test to each kept pair's stored
+	// closest-endpoint Euclidean distance, so it counts the same pairs.
 	PrunedPairs int
-	// Workers is the worker count the batched builder resolved for the
-	// input (goroutines start only when some distance misses the
+	// Workers is the worker count the batched builder resolved: for a
+	// build, over the junction rows holding a neighbour within ε, and
+	// for a pair table read, which has no junction rows, over its
+	// flows. Goroutines start only when some distance misses the
 	// cache, so a fully cached build and a table read report it
-	// without starting any); 0 means the serial paper path ran.
+	// without starting any; 0 means the serial paper path ran.
 	Workers int
 	// FromTable reports a batched read answered from its flow set's
-	// kept junction table (FlowSet, Pipeline.RunFlowSet): no grid
-	// scan, no cache probe, no shortest path.
+	// kept pair table (FlowSet, Pipeline.RunFlowSet): one filter over
+	// the kept candidate pairs, no grid scan, no cache probe, no
+	// shortest path.
 	FromTable bool
 	// CacheHits and CacheMisses count shared-cache consultations
 	// (RefineConfig.Cache); both are 0 when no cache is attached or a
@@ -277,8 +280,9 @@ func flowEndpoints(flows []*FlowCluster) []flowEnds {
 // pairEvaluator evaluates the modified-Hausdorff ε-predicate of
 // Definition 11 for flow pairs, one pair at a time, with the ELB filter
 // of §III-C3 applied first when enabled. It drives a single-goroutine
-// shortest-path engine plus an optional distance cache; the ALT/CH
-// preprocessing structures are read-only after construction.
+// shortest-path engine and CH query state plus an optional distance
+// cache; the ALT/CH preprocessing structures are read-only after
+// construction.
 // EpsGraph.Extend, the one serial scan, uses one evaluator per call.
 type pairEvaluator struct {
 	g         *roadnet.Graph
@@ -286,7 +290,7 @@ type pairEvaluator struct {
 	endpoints []flowEnds
 	eng       *shortest.Engine
 	alt       *shortest.ALT
-	ch        *shortest.CH
+	ch        *shortest.CHQuery
 	shared    *distcache.Cache // cfg.Cache
 	bound     float64          // ε-bound class of distances this config computes
 
@@ -301,7 +305,7 @@ type pairEvaluator struct {
 	err error
 }
 
-func newPairEvaluator(g *roadnet.Graph, cfg RefineConfig, endpoints []flowEnds, eng *shortest.Engine, alt *shortest.ALT, ch *shortest.CH) *pairEvaluator {
+func newPairEvaluator(g *roadnet.Graph, cfg RefineConfig, endpoints []flowEnds, eng *shortest.Engine, alt *shortest.ALT, ch *shortest.CHQuery) *pairEvaluator {
 	pe := &pairEvaluator{g: g, cfg: cfg, endpoints: endpoints, eng: eng, alt: alt, ch: ch}
 	eng.SetFaults(cfg.Fault)
 	if cfg.Cache != nil {
@@ -354,6 +358,13 @@ func (pe *pairEvaluator) compute(u, v roadnet.NodeID) float64 {
 func (pe *pairEvaluator) netDist(u, v roadnet.NodeID) float64 {
 	if u == v {
 		return 0
+	}
+	// The two directions of one undirected path can sum to floats an
+	// ulp apart, so a pair is always queried from its lower junction:
+	// the float the batched builder computes and the cache keeps, and
+	// the same whichever flow of the pair comes first.
+	if v < u {
+		u, v = v, u
 	}
 	if err := pe.cfg.Fault.Inject(fault.SPQuery); err != nil {
 		// Simulated shortest-path failure. Latch it and return a
@@ -416,13 +427,13 @@ func (pe *pairEvaluator) withinEps(i, j int) bool {
 			dn[ui][vi] = pe.netDist(u, v)
 		}
 	}
-	return hausdorffWithin(dn, pe.cfg.Epsilon)
+	return hausdorff(dn) <= pe.cfg.Epsilon
 }
 
-// hausdorffWithin applies the modified Hausdorff aggregate (formula 5)
-// to the 2x2 endpoint distance matrix: max over both directions of the
-// per-endpoint min, compared against ε.
-func hausdorffWithin(dn [2][2]float64, eps float64) bool {
+// hausdorff applies the modified Hausdorff aggregate (formula 5) to
+// the 2x2 endpoint distance matrix: max over both directions of the
+// per-endpoint min. Definition 11 compares it against ε.
+func hausdorff(dn [2][2]float64) float64 {
 	worst := 0.0
 	for ui := 0; ui < 2; ui++ {
 		m := math.Min(dn[ui][0], dn[ui][1])
@@ -436,7 +447,7 @@ func hausdorffWithin(dn [2][2]float64, eps float64) bool {
 			worst = m
 		}
 	}
-	return worst <= eps
+	return worst
 }
 
 // batched reports whether Phase 3 builds its ε-graph with the batched
@@ -467,7 +478,7 @@ func RefineFlows(g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig) ([]*T
 // returned. A re-run with an uncancelled context is byte-identical to a
 // run that was never cancelled — cancellation never leaks into state.
 // A non-nil fs says flows are its flows at minCard, so the batched
-// builder may read and keep fs's junction table (FlowSet.epsGraph).
+// builder may read and keep fs's pair table (FlowSet.epsGraph).
 func refineFlows(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, fs *FlowSet, minCard int) ([]*TrajectoryCluster, RefineStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, RefineStats{}, err

@@ -1,12 +1,10 @@
 package neat
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +18,8 @@ import (
 
 // This file holds the batched ε-graph builder behind
 // RefineConfig.Workers (Dijkstra kernel, finite ε); it is the builder
-// every served /v1/clusters read runs. It works in two steps.
+// every served /v1/clusters read runs. A build works in two steps and
+// every read, built or not, ends in one filter.
 //
 // The junction-table step (buildJunctionDists) collects the ≤2F
 // distinct flow-endpoint junctions, pre-filters junction pairs with a
@@ -33,18 +32,22 @@ import (
 // concurrency invariant), each writing its own slots of one distance
 // table.
 //
-// The predicate pass (junctionDists.epsGraph) evaluates the candidate
-// flow pairs in the serial scan's order from that table alone, so for
-// any worker count the adjacency — and hence the clustering — is
-// byte-identical to the serial scan's. RefineFlows runs the two steps
-// back to back; a flow set keeps the table of its loosest read, and a
-// narrower read of the same set runs only the pass (FlowSet.epsGraph).
+// The predicate pass (junctionDists.pairs) finds the candidate flow
+// pairs from that table and records, per pair, its closest endpoint
+// pair's Euclidean distance and its modified Hausdorff aggregate: a
+// pair table. The filter (pairTable.epsGraph) reads the ε-graph of a
+// read off a pair table with two comparisons per pair, in the serial
+// scan's order, so for any worker count the adjacency — and hence the
+// clustering — is byte-identical to the serial scan's. RefineFlows
+// runs the build and filters at its own ε; a flow set keeps the pair
+// table of its loosest read, and a narrower read of the same set runs
+// only the filter (FlowSet.epsGraph).
 //
 // All bookkeeping is flat: junctions are indexed by position in a
-// sorted slice, and every junction relation is a CSR table (one offsets
-// slice, one values slice) sized by a counting pass, so a warm read —
-// every distance a cache hit or a table entry — allocates a handful of
-// slices whatever the flow count.
+// sorted slice, and every junction or flow relation is a CSR table (one
+// offsets slice, one values slice) sized by a counting pass or built
+// in order, so a read allocates a handful of slices whatever the flow
+// count.
 
 // csr is a compressed sparse row table: row r holds val[off[r]:off[r+1]].
 type csr struct {
@@ -54,9 +57,21 @@ type csr struct {
 
 func (t csr) row(r int32) []int32 { return t.val[t.off[r]:t.off[r+1]] }
 
+// appendDoubling appends v to s, doubling s's capacity when it is full.
+// Plain append grows a large slice by about a quarter at a time, so a
+// table built one entry at a time would allocate several times its
+// final size; doubling keeps that under twice.
+func appendDoubling(s []int32, v int32) []int32 {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 256))
+	}
+	return append(s, v)
+}
+
 // transpose returns the table whose row c lists, ascending, every row r
-// of t that holds c.
-func (t csr) transpose(cols int) csr {
+// of t that holds c, and, when payload (one value per entry of t) is
+// not nil, each moved entry's value in the same positions.
+func (t csr) transpose(cols int, payload []float64) (csr, []float64) {
 	off := make([]int32, cols+1)
 	for _, c := range t.val {
 		off[c+1]++
@@ -66,44 +81,64 @@ func (t csr) transpose(cols int) csr {
 	}
 	next := slices.Clone(off[:cols])
 	val := make([]int32, len(t.val))
+	var moved []float64
+	if payload != nil {
+		moved = make([]float64, len(t.val))
+	}
 	for r := int32(0); int(r)+1 < len(t.off); r++ {
-		for _, c := range t.row(r) {
+		for k := t.off[r]; k < t.off[r+1]; k++ {
+			c := t.val[k]
 			val[next[c]] = r
+			if payload != nil {
+				moved[next[c]] = payload[k]
+			}
 			next[c]++
 		}
 	}
-	return csr{off: off, val: val}
+	return csr{off: off, val: val}, moved
 }
 
 // junctionDists is the junction-distance table of one batched build:
-// the distinct endpoint junctions of the flows it was built over,
-// every pair of them within Euclidean ε, and each pair's network
-// distance. It is immutable once built, so a flow set can keep one and
-// share it across concurrent reads (FlowSet.epsGraph). A read over a
-// subset of those flows at an ε no wider than the table's filters it:
-// dE and dN do not depend on which flows take part, and a network
-// distance beyond the table's ε (+Inf) is beyond any narrower ε too.
+// the distinct endpoint junctions of the flows it is built over, every
+// pair of them within Euclidean ε, and each pair's network distance.
+// It lives only as long as its build: the pair table derived from it is
+// what a flow set keeps.
 type junctionDists struct {
+	junc  []roadnet.NodeID
+	pts   []geo.Point // per junction, its position
+	upper csr         // row u: every v > u within Euclidean eps of u
+	dist  []float64   // per upper entry: the network distance, +Inf beyond eps
+}
+
+// pairTable holds the candidate flow pairs of one batched build over
+// flows at ε eps: every pair (i, j), j > i, with some endpoint
+// combination within Euclidean eps, in rows by i with j ascending. Per
+// pair it keeps minE, the closest endpoint combination's Euclidean
+// distance (the grid's own expression), and h, the modified Hausdorff
+// aggregate of formula 5 over the four network distances, each +Inf
+// beyond eps — 20 bytes a pair. A read at an ε′ <= eps over a
+// subsequence of flows filters it (epsGraph): an endpoint pair the
+// build saw as +Inf is beyond Euclidean eps, so beyond ε′ by network
+// distance too (dE <= dN), and each min and the max in h compare with
+// ε′ as the true distances would. It is immutable once built, so a
+// flow set can keep one and share it across concurrent reads
+// (FlowSet.epsGraph).
+type pairTable struct {
 	g       *roadnet.Graph
-	eps     float64 // the build's ε
-	minCard int     // the read's minCard, for a table a flow set keeps
-	junc    []roadnet.NodeID
-	pts     []geo.Point // per junction, its position
-	upper   csr         // row u: every v > u within Euclidean eps of u
-	dist    []float64   // per upper entry: the network distance, +Inf beyond eps
-	// eucl, per upper entry, is the pair's Euclidean distance once
-	// sortedByDist has ordered each row by it, ties by junction, so
-	// the entries within a narrower ε are a prefix of the row. A
-	// build's rows run in grid order and carry none: at the build's
-	// own ε every entry qualifies.
-	eucl []float64
+	eps     float64        // the build's ε
+	minCard int            // the read's minCard, for a table a flow set keeps
+	flows   []*FlowCluster // the build's flows, in order; a copy, since the read's slice is its caller's
+	off     []int32        // row i: entries off[i]:off[i+1]
+	col     []int32        // per entry: the flow j
+	minE    []float64      // per entry: the closest endpoint pair's Euclidean distance
+	h       []float64      // per entry: the pair's aggregate, +Inf when some endpoint is beyond eps
 }
 
 // answers reports whether t can serve a read on g over the flows kept
 // at minCard, at ε eps: a flow set's flows at a larger minCard are a
-// subset of those at a smaller one, so their junctions and the pairs
+// subsequence of those at a smaller one, so their candidate pairs
 // within a narrower ε are all in t. Nil-safe.
-func (t *junctionDists) answers(g *roadnet.Graph, minCard int, eps float64) bool {
+func (t *pairTable) answers(g *roadnet.Graph, minCard int, eps float64) bool {
 	return t != nil && t.g == g && minCard >= t.minCard && eps <= t.eps
 }
 
@@ -137,7 +172,7 @@ func junctionNeighbors(pts []geo.Point, eps float64) (upper csr) {
 		byJunction.val[u] = int32(cy*nx + cx)
 		byJunction.off[u+1] = int32(u + 1)
 	}
-	grid := byJunction.transpose(nx * ny)
+	grid, _ := byJunction.transpose(nx*ny, nil)
 
 	// Each junction's cell rows are ascending, so walking them from the
 	// end visits exactly its neighbours v > u.
@@ -150,7 +185,7 @@ func junctionNeighbors(pts []geo.Point, eps float64) (upper csr) {
 				cellRow := grid.row(int32(cy*nx + cx))
 				for i := len(cellRow) - 1; i >= 0 && int(cellRow[i]) > u; i-- {
 					if pts[cellRow[i]].Dist(p) <= eps {
-						upper.val = append(upper.val, cellRow[i])
+						upper.val = appendDoubling(upper.val, cellRow[i])
 					}
 				}
 			}
@@ -202,7 +237,7 @@ func buildJunctionDists(ctx context.Context, g *roadnet.Graph, flows []*FlowClus
 		pts[u] = g.Node(v).Pt
 	}
 	upper := junctionNeighbors(pts, eps)
-	t := &junctionDists{g: g, eps: eps, junc: junc, pts: pts, upper: upper, dist: make([]float64, len(upper.val))}
+	t := &junctionDists{junc: junc, pts: pts, upper: upper, dist: make([]float64, len(upper.val))}
 
 	// Consult the shared cache first: a hit (finite, or +Inf meaning
 	// "beyond ε") fills the pair's slot, and a miss queues the target
@@ -287,82 +322,6 @@ func buildJunctionDists(ctx context.Context, g *roadnet.Graph, flows []*FlowClus
 	return t, nil
 }
 
-// sortedByDist returns a copy of t whose rows run by Euclidean
-// distance, ties by junction, with those distances in eucl; each entry
-// keeps its network distance. A distance is the grid scan's own
-// expression on the same points, so it is the float the scan tested.
-func (t *junctionDists) sortedByDist() *junctionDists {
-	eucl := make([]float64, len(t.upper.val))
-	order := make([]int32, len(t.upper.val))
-	for u := range t.junc {
-		for k := t.upper.off[u]; k < t.upper.off[u+1]; k++ {
-			eucl[k], order[k] = t.pts[t.upper.val[k]].Dist(t.pts[u]), k
-		}
-		slices.SortFunc(order[t.upper.off[u]:t.upper.off[u+1]], func(a, b int32) int {
-			if c := cmp.Compare(eucl[a], eucl[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(t.upper.val[a], t.upper.val[b])
-		})
-	}
-	s := *t
-	s.upper.val = make([]int32, len(order))
-	s.eucl, s.dist = make([]float64, len(order)), make([]float64, len(order))
-	for k, from := range order {
-		s.upper.val[k], s.eucl[k], s.dist[k] = t.upper.val[from], eucl[from], t.dist[from]
-	}
-	return &s
-}
-
-// within returns a read's view of t at ε eps, the rows a build over
-// the read's own flows would scan. For each junction u ending some
-// flow of the read (ends), its upper row is the prefix of t's row u
-// within Euclidean eps, ending at cut[u]: the whole row at t's own ε,
-// and otherwise the entries of a row by distance that pass the grid's
-// test on the same floats (FlowSet.epsGraph orders the rows first). Lower row v lists the
-// u < v whose prefix holds v, each with the pair's network distance. A
-// junction no flow of the read ends at has no flow to pair, so it may
-// stay in a row. sources counts the rows that hold one ending a flow
-// of the read.
-func (t *junctionDists) within(ends []bool, eps float64) (cut []int32, lower csr, lowerDist []float64, sources int) {
-	nj := len(t.junc)
-	cut = make([]int32, nj)
-	lower.off = make([]int32, nj+1)
-	for u := range nj {
-		if !ends[u] {
-			continue
-		}
-		cut[u] = t.upper.off[u+1]
-		if eps < t.eps {
-			d := t.eucl[t.upper.off[u]:cut[u]]
-			cut[u] = t.upper.off[u] + int32(sort.Search(len(d), func(i int) bool { return d[i] > eps }))
-		}
-		row := t.upper.val[t.upper.off[u]:cut[u]]
-		for _, v := range row {
-			lower.off[v+1]++
-		}
-		if slices.ContainsFunc(row, func(v int32) bool { return ends[v] }) {
-			sources++
-		}
-	}
-	for v := range nj {
-		lower.off[v+1] += lower.off[v]
-	}
-	lower.val, lowerDist = make([]int32, lower.off[nj]), make([]float64, lower.off[nj])
-	next := slices.Clone(lower.off[:nj])
-	for u := range nj {
-		if !ends[u] {
-			continue
-		}
-		for k := t.upper.off[u]; k < cut[u]; k++ {
-			v := t.upper.val[k]
-			lower.val[next[v]], lowerDist[next[v]] = int32(u), t.dist[k]
-			next[v]++
-		}
-	}
-	return cut, lower, lowerDist, sources
-}
-
 // scattered reads junction v's slot of a row's scattered distances:
 // +Inf unless this row stamped it, i.e. v is beyond Euclidean ε and
 // hence beyond ε.
@@ -373,16 +332,14 @@ func scattered(d []float64, seen []int32, v, stamp int32) float64 {
 	return math.Inf(1)
 }
 
-// epsGraph is the batched builder's predicate pass over t: it maps the
-// flows' endpoints into the table, keeps the pairs within cfg's ε, and
-// evaluates the candidate flow pairs in the serial scan's order. It
-// reads every distance from t, so it runs no grid scan, probes no
-// cache and computes no shortest path.
-func (t *junctionDists) epsGraph(ctx context.Context, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
-	n := len(flows)
-	stats.Pairs = n * (n - 1) / 2
-	eps := cfg.Epsilon
-	nj := len(t.junc)
+// pairs is the batched builder's predicate pass: it records, in a pair
+// table over flows, every candidate flow pair with its minE and h, all
+// read from t. The candidates of flow i are the flows j > i ending at a
+// junction within Euclidean ε of one of i's endpoints — exactly the
+// pairs the per-pair ELB check admits. Its Workers count is over the
+// junction rows that hold a neighbour.
+func (t *junctionDists) pairs(g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) *pairTable {
+	n, nj := len(flows), len(t.junc)
 	// pos[fi] holds flow fi's endpoint junctions' positions in the
 	// table. Row fi of byFlow holds the distinct ones, so its transpose
 	// lists the flows ending at each junction.
@@ -390,11 +347,8 @@ func (t *junctionDists) epsGraph(ctx context.Context, flows []*FlowCluster, cfg 
 	byFlow := csr{off: make([]int32, n+1), val: make([]int32, 0, 2*n)}
 	for fi, f := range flows {
 		front, back := f.Endpoints()
-		a, okA := slices.BinarySearch(t.junc, front)
-		b, okB := slices.BinarySearch(t.junc, back)
-		if !okA || !okB {
-			return nil, fmt.Errorf("neat: flow %d ends outside the junction table", fi)
-		}
+		a, _ := slices.BinarySearch(t.junc, front)
+		b, _ := slices.BinarySearch(t.junc, back)
 		pos[fi] = [2]int32{int32(a), int32(b)}
 		byFlow.val = append(byFlow.val, int32(a))
 		if b != a {
@@ -402,108 +356,159 @@ func (t *junctionDists) epsGraph(ctx context.Context, flows []*FlowCluster, cfg 
 		}
 		byFlow.off[fi+1] = int32(len(byFlow.val))
 	}
-	at := byFlow.transpose(nj)
-	ends := make([]bool, nj)
-	for u := range ends {
-		ends[u] = at.off[u] < at.off[u+1]
+	at, _ := byFlow.transpose(nj, nil)
+	lower, lowerDist := t.upper.transpose(nj, t.dist)
+	sources := 0
+	for u := range nj {
+		if t.upper.off[u] < t.upper.off[u+1] {
+			sources++
+		}
 	}
-	cut, lower, lowerDist, sources := t.within(ends, eps)
 	stats.Workers = conc.WorkersFor(cfg.Workers, sources)
-	if err := ctx.Err(); err != nil {
-		return nil, err
+
+	// Row by row, the candidates: the flows j > i ending at i's
+	// endpoint junctions or their neighbours, ascending.
+	p := &pairTable{g: g, eps: cfg.Epsilon, flows: slices.Clone(flows), off: make([]int32, n+1)}
+	picked := make([]int32, n)
+	var near []int32
+	for i := int32(0); int(i) < n; i++ {
+		stamp, lo := i+1, len(p.col)
+		near = near[:0]
+		for _, u := range pos[i] {
+			near = append(append(append(near, u), t.upper.row(u)...), lower.row(u)...)
+		}
+		for _, v := range near {
+			for _, j := range at.row(v) {
+				if j > i && picked[j] != stamp {
+					picked[j] = stamp
+					p.col = appendDoubling(p.col, j)
+				}
+			}
+		}
+		slices.Sort(p.col[lo:])
+		p.off[i+1] = int32(len(p.col))
 	}
 
-	// Row by row: for flow i with endpoint junctions (a, b), scatter
-	// the distances from a and from b to every junction within ε into
-	// dense per-junction slots (stamped with i+1, so no clearing), and
-	// collect the candidate flows j > i ending at one of those
-	// junctions — exactly the pairs the per-pair ELB check admits,
-	// since some endpoint combination is within Euclidean ε.
-	// Evaluating row i's candidates in ascending j appends edges in the
-	// serial scan's i-major, j-ascending order.
+	// Row by row again, each candidate's distances: scatter the network
+	// distances from i's endpoints a and b to every junction within ε
+	// into dense per-junction slots (stamped with i+1, so no clearing).
 	fromA, fromB := make([]float64, nj), make([]float64, nj)
 	seenA, seenB := make([]int32, nj), make([]int32, nj)
-	picked := make([]int32, n)
-	var near, row []int32
-	var edges csr // row i: the j > i adjacent to i, ascending
-	edges.off = make([]int32, n+1)
-	cands := 0
+	p.minE, p.h = make([]float64, len(p.col)), make([]float64, len(p.col))
 	for i := int32(0); int(i) < n; i++ {
 		stamp := i + 1
-		near = near[:0]
 		for side, u := range pos[i] {
 			d, seen := fromA, seenA
 			if side == 1 {
 				d, seen = fromB, seenB
 			}
 			d[u], seen[u] = 0, stamp
-			for k := t.upper.off[u]; k < cut[u]; k++ {
+			for k := t.upper.off[u]; k < t.upper.off[u+1]; k++ {
 				d[t.upper.val[k]], seen[t.upper.val[k]] = t.dist[k], stamp
 			}
 			for k := lower.off[u]; k < lower.off[u+1]; k++ {
 				d[lower.val[k]], seen[lower.val[k]] = lowerDist[k], stamp
 			}
-			near = append(append(append(near, u), t.upper.val[t.upper.off[u]:cut[u]]...), lower.row(u)...)
 		}
-		row = row[:0]
-		for _, v := range near {
-			for _, j := range at.row(v) {
-				if j > i && picked[j] != stamp {
-					picked[j] = stamp
-					row = append(row, j)
+		a, b := t.pts[pos[i][0]], t.pts[pos[i][1]]
+		for k := p.off[i]; k < p.off[i+1]; k++ {
+			e := pos[p.col[k]]
+			p.h[k] = hausdorff([2][2]float64{
+				{scattered(fromA, seenA, e[0], stamp), scattered(fromA, seenA, e[1], stamp)},
+				{scattered(fromB, seenB, e[0], stamp), scattered(fromB, seenB, e[1], stamp)},
+			})
+			c, d := t.pts[e[0]], t.pts[e[1]]
+			p.minE[k] = min(a.Dist(c), a.Dist(d), b.Dist(c), b.Dist(d))
+		}
+	}
+	return p
+}
+
+// epsGraph is the filter every batched read takes its ε-graph from:
+// the adjacency over flows, a subsequence of t's flows, at cfg's ε (at
+// most t's). A pair is a candidate iff its minE <= ε, as the ELB check
+// decides, and an edge iff it is a candidate with h <= ε. Rows run
+// i-major with j ascending, so the edges are appended in the serial
+// scan's order. It computes no distance and probes no cache.
+func (t *pairTable) epsGraph(ctx context.Context, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// idx maps each table flow to its position among flows, -1 when the
+	// read filtered it out.
+	n := len(flows)
+	idx := make([]int32, len(t.flows))
+	r := 0
+	for k, f := range t.flows {
+		idx[k] = -1
+		if r < n && flows[r] == f {
+			idx[k], r = int32(r), r+1
+		}
+	}
+	if r < n {
+		return nil, fmt.Errorf("neat: flow %d is not in the pair table", r)
+	}
+	eps := cfg.Epsilon
+	deg := make([]int32, n)
+	cands, edges := 0, 0
+	for i, fi := range idx {
+		if fi < 0 {
+			continue
+		}
+		for k := t.off[i]; k < t.off[i+1]; k++ {
+			if fj := idx[t.col[k]]; fj >= 0 && t.minE[k] <= eps {
+				cands++
+				if t.h[k] <= eps {
+					deg[fi]++
+					deg[fj]++
+					edges++
 				}
 			}
 		}
-		slices.Sort(row)
-		cands += len(row)
-		for _, j := range row {
-			e := pos[j]
-			dn := [2][2]float64{
-				{scattered(fromA, seenA, e[0], stamp), scattered(fromA, seenA, e[1], stamp)},
-				{scattered(fromB, seenB, e[0], stamp), scattered(fromB, seenB, e[1], stamp)},
-			}
-			if hausdorffWithin(dn, eps) {
-				edges.val = append(edges.val, j)
-			}
-		}
-		edges.off[i+1] = int32(len(edges.val))
 	}
+	stats.Pairs = n * (n - 1) / 2
 	stats.PrunedPairs = stats.Pairs - cands
 	if cfg.UseELB {
-		// The grid admits exactly the pairs the per-pair ELB check
-		// would: minE <= ε iff some endpoint combo is within Euclidean
-		// ε. Counting the complement keeps ELBPruned's semantics
-		// identical to the serial scan's.
+		// Counting the complement of the candidates keeps ELBPruned's
+		// semantics identical to the serial scan's.
 		stats.ELBPruned = stats.PrunedPairs
 	}
 
-	// The serial scan's appends, into rows sized by a degree count and
-	// carved from one backing array.
-	deg := make([]int, n)
-	for i := int32(0); int(i) < n; i++ {
-		deg[i] += len(edges.row(i))
-		for _, j := range edges.row(i) {
-			deg[j]++
-		}
-	}
-	backing := make([]int, 2*len(edges.val))
+	// The serial scan's appends, into rows sized by the degree count
+	// and carved from one backing array.
+	backing := make([]int, 2*edges)
 	adjacency := make([][]int, n)
 	for i, d := range deg {
 		adjacency[i], backing = backing[:0:d], backing[d:]
 	}
-	for i := int32(0); int(i) < n; i++ {
-		for _, j := range edges.row(i) {
-			adjacency[i] = append(adjacency[i], int(j))
-			adjacency[j] = append(adjacency[j], int(i))
+	for i, fi := range idx {
+		if fi < 0 {
+			continue
+		}
+		for k := t.off[i]; k < t.off[i+1]; k++ {
+			if fj := idx[t.col[k]]; fj >= 0 && t.minE[k] <= eps && t.h[k] <= eps {
+				adjacency[fi] = append(adjacency[fi], int(fj))
+				adjacency[fj] = append(adjacency[fj], int(fi))
+			}
 		}
 	}
 	return adjacency, nil
 }
 
-// buildEpsGraphBatched is the batched builder RefineFlows runs: the
-// junction-table step, then the predicate pass over that table.
-func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
+// buildPairTable is a batched build: the junction-table step, then the
+// predicate pass over that table.
+func buildPairTable(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) (*pairTable, error) {
 	t, err := buildJunctionDists(ctx, g, flows, cfg, stats)
+	if err != nil {
+		return nil, err
+	}
+	return t.pairs(g, flows, cfg, stats), nil
+}
+
+// buildEpsGraphBatched is the batched builder RefineFlows runs: a
+// build, then the filter at the build's own ε.
+func buildEpsGraphBatched(ctx context.Context, g *roadnet.Graph, flows []*FlowCluster, cfg RefineConfig, stats *RefineStats) ([][]int, error) {
+	t, err := buildPairTable(ctx, g, flows, cfg, stats)
 	if err != nil {
 		return nil, err
 	}

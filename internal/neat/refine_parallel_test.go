@@ -1,7 +1,6 @@
 package neat
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -11,24 +10,17 @@ import (
 	"repro/internal/distcache"
 	"repro/internal/geo"
 	"repro/internal/proptest"
-	"repro/internal/roadnet"
 )
 
 // TestJunctionNeighborsMatchBruteForce pins the batched builder's
 // Euclidean pre-filter against an all-pairs scan: the upper rows list
-// exactly the v > u within ε, in any order. sortedByDist must reorder
-// each row by distance, then junction, store each pair's Euclidean
-// distance as the scan computes it, and move every entry's network
-// distance along. It then pins a read's view of the rows
-// (junctionDists.within) for a subset of junctions ending the read's
-// flows, at the table's ε on the junction-ordered rows and at a
-// narrower ε on the distance-ordered ones: each such junction's
-// prefix holds exactly its neighbours within the read's ε, the lower
-// rows list exactly the u < v whose prefix holds v, ascending, each
-// with its pair's distance, and sources counts the prefixes holding a junction
-// of the subset. The cases cover coincident points, a radius on a cell
-// boundary, a single point, and a tiny radius over a wide extent,
-// where the cell size must grow to cap the cell count.
+// exactly the v > u within ε, in any order. It then pins the lower
+// rows a build's predicate pass mirrors from them (csr.transpose with
+// the distances as payload): row v lists exactly the u < v within ε,
+// ascending, each with its pair's distance. The cases cover coincident
+// points, a radius on a cell boundary, a single point, and a tiny
+// radius over a wide extent, where the cell size must grow to cap the
+// cell count.
 func TestJunctionNeighborsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	random := func(n int, w, h float64) []geo.Point {
@@ -63,15 +55,13 @@ func TestJunctionNeighborsMatchBruteForce(t *testing.T) {
 			t.Fatalf("case %d (%s): %d row offsets for %d points", ci, tc.name, len(upper.off), n)
 		}
 		// The Euclidean distances double as the network ones, so each
-		// entry must carry its own pair's through every reordering.
+		// entry must carry its own pair's into the mirror.
 		dist := make([]float64, len(upper.val))
 		for u := range tc.pts {
 			for k := upper.off[u]; k < upper.off[u+1]; k++ {
 				dist[k] = tc.pts[upper.val[k]].Dist(tc.pts[u])
 			}
 		}
-		built := &junctionDists{junc: make([]roadnet.NodeID, n), pts: tc.pts, eps: tc.eps, upper: upper, dist: dist}
-		sorted := built.sortedByDist()
 		for u := range tc.pts {
 			var wantUp []int32
 			for v := u + 1; v < n; v++ {
@@ -83,66 +73,23 @@ func TestJunctionNeighborsMatchBruteForce(t *testing.T) {
 			if slices.Sort(got); !slices.Equal(got, wantUp) {
 				t.Fatalf("case %d (%s) point %d: upper row %v, want %v", ci, tc.name, u, upper.row(int32(u)), wantUp)
 			}
-			slices.SortFunc(wantUp, func(a, b int32) int {
-				if c := cmp.Compare(tc.pts[a].Dist(tc.pts[u]), tc.pts[b].Dist(tc.pts[u])); c != 0 {
-					return c
-				}
-				return cmp.Compare(a, b)
-			})
-			if got := sorted.upper.row(int32(u)); !slices.Equal(got, wantUp) {
-				t.Fatalf("case %d (%s) point %d: row by distance %v, want %v", ci, tc.name, u, got, wantUp)
-			}
-			for k := sorted.upper.off[u]; k < sorted.upper.off[u+1]; k++ {
-				if d := tc.pts[sorted.upper.val[k]].Dist(tc.pts[u]); sorted.eucl[k] != d || sorted.dist[k] != d {
-					t.Fatalf("case %d (%s): pair (%d, %d) stores %v/%v, want %v", ci, tc.name, u, sorted.upper.val[k], sorted.eucl[k], sorted.dist[k], d)
-				}
-			}
 		}
 
-		ends := make([]bool, n)
-		for u := range ends {
-			ends[u] = ci%2 == 0 || rng.Intn(3) > 0
-		}
-		for _, read := range []struct {
-			td  *junctionDists
-			eps float64
-		}{{built, tc.eps}, {sorted, tc.eps * rng.Float64()}} {
-			cut, lower, lowerDist, sources := read.td.within(ends, read.eps)
-			wantSources := 0
-			for u := range tc.pts {
-				var wantPrefix, wantLow []int32
-				hasEnd := false
-				for v := range tc.pts {
-					d := tc.pts[v].Dist(tc.pts[u])
-					if v > u && d <= read.eps && ends[u] {
-						wantPrefix = append(wantPrefix, int32(v))
-						hasEnd = hasEnd || ends[v]
-					}
-					if v < u && d <= read.eps && ends[v] {
-						wantLow = append(wantLow, int32(v))
-					}
-				}
-				if hasEnd {
-					wantSources++
-				}
-				if ends[u] {
-					prefix := slices.Clone(read.td.upper.val[read.td.upper.off[u]:cut[u]])
-					slices.Sort(prefix)
-					if !slices.Equal(prefix, wantPrefix) {
-						t.Fatalf("case %d (%s) point %d: prefix within %g is %v, want %v", ci, tc.name, u, read.eps, prefix, wantPrefix)
-					}
-				}
-				if got := lower.row(int32(u)); !slices.Equal(got, wantLow) {
-					t.Fatalf("case %d (%s) point %d: lower row within %g is %v, want %v", ci, tc.name, u, read.eps, got, wantLow)
-				}
-				for k := lower.off[u]; k < lower.off[u+1]; k++ {
-					if d := tc.pts[lower.val[k]].Dist(tc.pts[u]); lowerDist[k] != d {
-						t.Fatalf("case %d (%s): lower entry (%d, %d) carries %v, want %v", ci, tc.name, u, lower.val[k], lowerDist[k], d)
-					}
+		lower, lowerDist := upper.transpose(n, dist)
+		for u := range tc.pts {
+			var wantLow []int32
+			for v := 0; v < u; v++ {
+				if tc.pts[v].Dist(tc.pts[u]) <= tc.eps {
+					wantLow = append(wantLow, int32(v))
 				}
 			}
-			if sources != wantSources {
-				t.Fatalf("case %d (%s): sources %d within %g, want %d", ci, tc.name, sources, read.eps, wantSources)
+			if got := lower.row(int32(u)); !slices.Equal(got, wantLow) {
+				t.Fatalf("case %d (%s) point %d: lower row %v, want %v", ci, tc.name, u, got, wantLow)
+			}
+			for k := lower.off[u]; k < lower.off[u+1]; k++ {
+				if d := tc.pts[lower.val[k]].Dist(tc.pts[u]); lowerDist[k] != d {
+					t.Fatalf("case %d (%s): lower entry (%d, %d) carries %v, want %v", ci, tc.name, u, lower.val[k], lowerDist[k], d)
+				}
 			}
 		}
 	}

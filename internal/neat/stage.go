@@ -192,7 +192,7 @@ func (p *Pipeline) RunPlanCtx(ctx context.Context, plan *Plan, in Input) (*Resul
 // scan (0), or the batched one-to-many builder for the Dijkstra kernel
 // at finite ε, which the server's reads run; both yield the identical
 // clustering. A non-nil fs says the flows are fs's flows at minCard,
-// so the batched builder may use and keep its junction table.
+// so the batched builder may use and keep its pair table.
 func (p *Pipeline) refine(ctx context.Context, res *Result, cfg RefineConfig, fs *FlowSet, minCard int) error {
 	sp := res.Trace.StartChild("phase3.refine")
 	start := time.Now()

@@ -39,7 +39,10 @@ func refineFlows(g *roadnet.Graph, flows []*Flow, cfg Config) []Cluster {
 		var dn [2][2]float64
 		for ui, u := range pi {
 			for vi, v := range pj {
-				dn[ui][vi] = trees[u][v]
+				// From the pair's lower junction, as internal/neat
+				// queries it: the two directions of one path can sum
+				// to floats an ulp apart.
+				dn[ui][vi] = trees[min(u, v)][max(u, v)]
 			}
 		}
 		worst := 0.0

@@ -293,15 +293,22 @@ func servedBatches(ds traj.Dataset, seed int64) [][]traj.Trajectory {
 // shared cache), against the oracle over the batches so far. The read
 // folds each batch into the session's kept base-cluster set and
 // filters its minCard-0 flow set, which no Pipeline.Run exercises.
-func checkServed(g *roadnet.Graph, ds traj.Dataset, d proptest.Draw, seed int64) error {
+// When the level runs Phase 3, a second read of the same snapshot at a
+// seeded narrower ε (0.3–1.0 × the draw's) and a minCard up by 0 or 1
+// is compared with the oracle at those parameters: the first read kept
+// its pair table on the snapshot's flow set, so this one is a table
+// read whenever it has two flows to pair. It returns how many reads a
+// kept table answered.
+func checkServed(g *roadnet.Graph, ds traj.Dataset, d proptest.Draw, seed int64) (tableReads int, err error) {
 	ncfg, ocfg, nl, ol := Materialize(d)
 	sess, err := session.New("selftest", g, session.Config{})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer sess.Close()
 	ncfg.Refine = neat.RefineConfig{Epsilon: d.Epsilon, MinPts: d.MinPts, UseELB: true, Bounded: true, Workers: -1, Cache: sess.Cache()}
 	ctx := context.Background()
+	narrow := rand.New(rand.NewSource(seed + 1)) // a stream of its own, not servedBatches'
 	var sofar traj.Dataset
 	for bi, batch := range servedBatches(ds, seed) {
 		sofar.Trajectories = append(sofar.Trajectories, batch...)
@@ -312,23 +319,45 @@ func checkServed(g *roadnet.Graph, ds traj.Dataset, d proptest.Draw, seed int64)
 		}
 		_, nerr := sess.Ingest(ctx, ids, func(i int) (traj.Trajectory, error) { return batch[i], nil })
 		var res *neat.Result
+		var fs *neat.FlowSet
 		if nerr == nil {
-			var fs *neat.FlowSet
 			if fs, nerr = sess.Flows(ctx, sess.Current(), ncfg); nerr == nil {
 				res, nerr = sess.Refine(ctx, fs, ncfg, nl)
 			}
 		}
 		if (nerr != nil) != (oerr != nil) {
-			return fmt.Errorf("served batch %d: error mismatch: session=%v oracle=%v", bi, nerr, oerr)
+			return tableReads, fmt.Errorf("served batch %d: error mismatch: session=%v oracle=%v", bi, nerr, oerr)
 		}
 		if nerr != nil {
-			return nil // both rejected the data so far identically
+			return tableReads, nil // both rejected the data so far identically
 		}
 		if diff := Diff(servedRender(res), oracleServedRender(ores)); diff != "" {
-			return fmt.Errorf("served batch %d: outputs diverge: %s", bi, diff)
+			return tableReads, fmt.Errorf("served batch %d: outputs diverge: %s", bi, diff)
+		}
+		if nl != neat.LevelOpt {
+			continue
+		}
+		ncfg2, ocfg2 := ncfg, ocfg
+		ncfg2.Refine.Epsilon = d.Epsilon * (0.3 + 0.7*narrow.Float64())
+		ncfg2.Flow.MinCard = d.MinCard + narrow.Intn(2)
+		ocfg2.Epsilon, ocfg2.MinCard = ncfg2.Refine.Epsilon, ncfg2.Flow.MinCard
+		ores, oerr = oracle.RunNEAT(g, sofar, ocfg2, ol)
+		res, nerr = sess.Refine(ctx, fs, ncfg2, nl)
+		name := fmt.Sprintf("served batch %d, second read at ε %g minCard %d", bi, ncfg2.Refine.Epsilon, ncfg2.Flow.MinCard)
+		if (nerr != nil) != (oerr != nil) {
+			return tableReads, fmt.Errorf("%s: error mismatch: session=%v oracle=%v", name, nerr, oerr)
+		}
+		if nerr != nil {
+			continue
+		}
+		if res.RefineStats.FromTable {
+			tableReads++
+		}
+		if diff := Diff(servedRender(res), oracleServedRender(ores)); diff != "" {
+			return tableReads, fmt.Errorf("%s: outputs diverge: %s", name, diff)
 		}
 	}
-	return nil
+	return tableReads, nil
 }
 
 // CheckSeed runs the differential check for one seed: the pipeline
@@ -341,7 +370,10 @@ func CheckSeed(seed int64) error {
 	}
 	for _, check := range []func(traj.Dataset) error{
 		func(ds traj.Dataset) error { return checkInstance(g, ds, d) },
-		func(ds traj.Dataset) error { return checkServed(g, ds, d, seed) },
+		func(ds traj.Dataset) error {
+			_, err := checkServed(g, ds, d, seed)
+			return err
+		},
 	} {
 		if err := check(ds); err != nil {
 			// Bisect the dataset to a minimal counterexample before

@@ -56,6 +56,29 @@ func TestDifferentialSuiteDraws(t *testing.T) {
 	}
 }
 
+// TestServedLegReadsKeptTables checks that the served leg's second
+// reads are answered from kept pair tables on many seeds, so its
+// comparisons with the oracle cover the table filter and not only
+// builds.
+func TestServedLegReadsKeptTables(t *testing.T) {
+	reads := 0
+	for seed := int64(0); seed < 40; seed++ {
+		g, ds, d, err := Instance(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := checkServed(g, ds, d, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		reads += n
+	}
+	t.Logf("%d kept-table reads", reads)
+	if reads < 10 {
+		t.Fatalf("the served leg made %d kept-table reads over 40 seeds", reads)
+	}
+}
+
 // TestRunSuite exercises the CLI-facing driver.
 func TestRunSuite(t *testing.T) {
 	var buf bytes.Buffer

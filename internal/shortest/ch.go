@@ -1,7 +1,6 @@
 package shortest
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -70,21 +69,20 @@ func NewCH(g *roadnet.Graph) (*CH, error) {
 
 	// Priority queue of contraction candidates by edge-difference
 	// priority, with lazy re-evaluation.
-	pq := &chPQ{}
-	heap.Init(pq)
+	var pq nodeHeap
 	for v := 0; v < n; v++ {
-		heap.Push(pq, chCand{node: roadnet.NodeID(v), prio: st.priority(roadnet.NodeID(v))})
+		pq.push(heapItem{node: roadnet.NodeID(v), prio: st.priority(roadnet.NodeID(v))})
 	}
 	nextRank := int32(0)
-	for pq.Len() > 0 {
-		cand := heap.Pop(pq).(chCand)
+	for pq.len() > 0 {
+		cand := pq.pop()
 		v := cand.node
 		if st.deleted[v] {
 			continue
 		}
 		// Lazy update: if the node's priority rose, requeue it.
 		if cur := st.priority(v); cur > cand.prio {
-			heap.Push(pq, chCand{node: v, prio: cur})
+			pq.push(heapItem{node: v, prio: cur})
 			continue
 		}
 		st.contract(v, ch)
@@ -160,12 +158,11 @@ func (st *chBuildState) witnessDistances(source, excluded roadnet.NodeID, maxDis
 	const settleCap = 64
 	dist := map[roadnet.NodeID]float64{source: 0}
 	done := make(map[roadnet.NodeID]bool)
-	h := &chPQ{}
-	heap.Init(h)
-	heap.Push(h, chCand{node: source, prio: 0})
+	var h nodeHeap
+	h.push(heapItem{node: source, prio: 0})
 	settled := 0
-	for h.Len() > 0 && settled < settleCap {
-		it := heap.Pop(h).(chCand)
+	for h.len() > 0 && settled < settleCap {
+		it := h.pop()
 		if done[it.node] {
 			continue
 		}
@@ -185,7 +182,7 @@ func (st *chBuildState) witnessDistances(source, excluded roadnet.NodeID, maxDis
 			}
 			if cur, ok := dist[nb]; !ok || nd < cur {
 				dist[nb] = nd
-				heap.Push(h, chCand{node: nb, prio: nd})
+				h.push(heapItem{node: nb, prio: nd})
 			}
 		}
 	}
@@ -208,67 +205,72 @@ func (st *chBuildState) contract(v roadnet.NodeID, ch *CH) {
 	st.deleted[v] = true
 }
 
+// NewQuery returns query state for ch. A caller holds one and issues
+// all its queries through it, so each query reuses its arrays (see
+// CHQuery).
+func (ch *CH) NewQuery() *CHQuery {
+	n := ch.g.NumNodes()
+	return &CHQuery{ch: ch, fwd: newFrontier(n), bwd: newFrontier(n)}
+}
+
+// CHQuery is one caller's state for CH queries: per direction, the
+// epoch-stamped labels, settle stamps and heap an Engine uses, reused
+// across queries, so a query allocates nothing once the heaps have
+// grown. The heap sifts exactly as container/heap does, so every
+// distance is the float a fresh search computes. Like an Engine, a
+// CHQuery is NOT safe for concurrent use; the CH it reads is
+// read-only, so CHQuerys on several goroutines may share one CH.
+type CHQuery struct {
+	ch       *CH
+	fwd, bwd frontier
+	curEp    uint32
+}
+
 // Distance answers an undirected shortest-path distance query via
-// bidirectional upward search. It returns +Inf when disconnected.
-func (ch *CH) Distance(from, to roadnet.NodeID) float64 {
+// bidirectional upward search: the forward search runs first, then the
+// backward one, each stopping once its frontier cannot improve the
+// best meeting. It returns +Inf when disconnected.
+func (q *CHQuery) Distance(from, to roadnet.NodeID) float64 {
 	if from == to {
 		return 0
 	}
-	distF := map[roadnet.NodeID]float64{from: 0}
-	distB := map[roadnet.NodeID]float64{to: 0}
-	best := math.Inf(1)
-
-	search := func(dist map[roadnet.NodeID]float64, other map[roadnet.NodeID]float64) {
-		h := &chPQ{}
-		heap.Init(h)
-		for n := range dist {
-			heap.Push(h, chCand{node: n, prio: 0})
+	if q.curEp++; q.curEp == 0 { // wrapped: clear stamps and restart
+		for _, stamps := range [][]uint32{q.fwd.epoch, q.fwd.settled, q.bwd.epoch, q.bwd.settled} {
+			clear(stamps)
 		}
-		done := make(map[roadnet.NodeID]bool)
-		for h.Len() > 0 {
-			it := heap.Pop(h).(chCand)
-			if done[it.node] {
-				continue
-			}
-			done[it.node] = true
-			d := dist[it.node]
-			if d >= best {
-				break // no shorter meeting possible
-			}
-			if od, ok := other[it.node]; ok && d+od < best {
-				best = d + od
-			}
-			for _, e := range ch.up[it.node] {
-				nd := d + e.w
-				if cur, ok := dist[e.to]; !ok || nd < cur {
-					dist[e.to] = nd
-					heap.Push(h, chCand{node: e.to, prio: nd})
-				}
+		q.curEp = 1
+	}
+	q.fwd.label(from, 0, q.curEp)
+	q.bwd.label(to, 0, q.curEp)
+	best := q.search(&q.fwd, &q.bwd, from, math.Inf(1))
+	return q.search(&q.bwd, &q.fwd, to, best)
+}
+
+// search runs one direction's upward Dijkstra from src, labelled in f,
+// and returns the best meeting distance with the labels of other.
+func (q *CHQuery) search(f, other *frontier, src roadnet.NodeID, best float64) float64 {
+	ep := q.curEp
+	f.heap.reset()
+	f.heap.push(heapItem{node: src, prio: 0})
+	for f.heap.len() > 0 {
+		n := f.heap.pop().node
+		if f.settled[n] == ep {
+			continue
+		}
+		f.settled[n] = ep
+		d := f.dist[n]
+		if d >= best {
+			break // no shorter meeting possible
+		}
+		if m := d + other.at(n, ep); m < best {
+			best = m
+		}
+		for _, e := range q.ch.up[n] {
+			if nd := d + e.w; nd < f.at(e.to, ep) {
+				f.label(e.to, nd, ep)
+				f.heap.push(heapItem{node: e.to, prio: nd})
 			}
 		}
 	}
-	search(distF, distB)
-	search(distB, distF)
 	return best
-}
-
-// chCand is a priority-queue entry for both preprocessing and queries.
-type chCand struct {
-	node roadnet.NodeID
-	prio float64
-}
-
-// chPQ implements container/heap for chCand.
-type chPQ []chCand
-
-func (h chPQ) Len() int            { return len(h) }
-func (h chPQ) Less(i, j int) bool  { return h[i].prio < h[j].prio }
-func (h chPQ) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *chPQ) Push(x interface{}) { *h = append(*h, x.(chCand)) }
-func (h *chPQ) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -41,6 +41,7 @@ func TestKernelsMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		chq := ch.NewQuery()
 		for trial := 0; trial < 30; trial++ {
 			from := roadnet.NodeID(rng.Intn(g.NumNodes()))
 			to := roadnet.NodeID(rng.Intn(g.NumNodes()))
@@ -65,7 +66,7 @@ func TestKernelsMatchBruteForce(t *testing.T) {
 			if got := eng.AStarALT(from, to, alt).Dist; relErr(got, wantU) > 1e-9 {
 				t.Fatalf("seed %d: alt d(%d,%d) = %v, oracle %v", seed, from, to, got, wantU)
 			}
-			if got := ch.Distance(from, to); relErr(got, wantU) > 1e-6 {
+			if got := chq.Distance(from, to); relErr(got, wantU) > 1e-6 {
 				t.Fatalf("seed %d: ch d(%d,%d) = %v, oracle %v", seed, from, to, got, wantU)
 			}
 
